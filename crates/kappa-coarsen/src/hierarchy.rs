@@ -7,9 +7,12 @@
 //! fails to shrink the graph appreciably (e.g. on star-like graphs where
 //! matchings are tiny), which mirrors the usual multilevel safeguard.
 
-use kappa_graph::{CsrGraph, NodeId, Partition, PartitionState};
+use std::convert::Infallible;
+
+use kappa_graph::{CsrGraph, GraphAccess, NodeId, Partition, PartitionState};
 use kappa_matching::{
-    compute_matching, parallel_matching, EdgeRating, MatchingAlgorithm, ParallelMatchingConfig,
+    compute_matching, parallel_matching, EdgeRating, Matching, MatchingAlgorithm,
+    ParallelMatchingConfig,
 };
 
 use crate::contract::{contract_matching, Contraction};
@@ -59,22 +62,40 @@ impl Default for CoarseningConfig {
     }
 }
 
+/// The matcher seed of hierarchy level `level` (0 = the finest graph's
+/// matching) for a run seeded with `seed`. Every driver derives its
+/// per-level seeds here, which is what keeps their hierarchies identical.
+pub fn level_seed(seed: u64, level: usize) -> u64 {
+    seed.wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add(level as u64)
+}
+
 /// One level of the hierarchy below the finest graph.
 #[derive(Clone, Debug)]
-struct Level {
+struct Level<G> {
     /// The coarse graph of this level.
-    graph: CsrGraph,
+    graph: G,
     /// Mapping from the *previous* (finer) level's nodes to this level's nodes.
     coarse_of: Vec<NodeId>,
 }
 
 /// The full multilevel hierarchy: the finest (input) graph plus every coarser
-/// level produced by match-and-contract.
+/// level produced by match-and-contract, each stored as a `G`.
+///
+/// The build loop (stop rules, per-level seed, shrink guard), the level
+/// accessors and the uncoarsening loop are written once for every storage;
+/// only contraction differs. [`MultilevelHierarchy`] keeps every level as
+/// plain CSR and contracts in parallel with [`contract_matching`];
+/// [`TieredHierarchy`](crate::TieredHierarchy) writes every coarse level to
+/// a compact or paged tier with [`contract_to_tier`](crate::contract_to_tier).
 #[derive(Clone, Debug)]
-pub struct MultilevelHierarchy {
-    finest: CsrGraph,
-    levels: Vec<Level>,
+pub struct Hierarchy<G> {
+    finest: G,
+    levels: Vec<Level<G>>,
 }
+
+/// The classic hierarchy: every level is plain CSR in RAM.
+pub type MultilevelHierarchy = Hierarchy<CsrGraph>;
 
 impl MultilevelHierarchy {
     /// Builds the hierarchy by repeated matching and contraction, using the
@@ -103,11 +124,37 @@ impl MultilevelHierarchy {
     /// level with the current graph and a per-level seed. This is how the core
     /// partitioner plugs in the geometric pre-partitioning of §3.3 without this
     /// crate needing to know about coordinates.
-    pub fn build_with<F>(finest: CsrGraph, config: &CoarseningConfig, mut matcher: F) -> Self
+    pub fn build_with<F>(finest: CsrGraph, config: &CoarseningConfig, matcher: F) -> Self
     where
-        F: FnMut(&CsrGraph, u64) -> kappa_matching::Matching,
+        F: FnMut(&CsrGraph, u64) -> Matching,
     {
-        let mut levels: Vec<Level> = Vec::new();
+        let Ok(hierarchy) = Self::build_by(finest, config, matcher, |fine, matching, _| {
+            let Contraction {
+                coarse_graph,
+                coarse_of,
+            } = contract_matching(fine, matching);
+            Ok::<_, Infallible>((coarse_graph, coarse_of))
+        });
+        hierarchy
+    }
+}
+
+impl<G: GraphAccess> Hierarchy<G> {
+    /// The build loop of every storage: match the current level with
+    /// `matcher`, stop once it is small enough or a matching stalls, and
+    /// otherwise `contract` it into the next level. `contract` receives the
+    /// fine graph, its matching and the index of the level it creates.
+    pub(crate) fn build_by<M, C, E>(
+        finest: G,
+        config: &CoarseningConfig,
+        mut matcher: M,
+        mut contract: C,
+    ) -> Result<Self, E>
+    where
+        M: FnMut(&G, u64) -> Matching,
+        C: FnMut(&G, &Matching, usize) -> Result<(G, Vec<NodeId>), E>,
+    {
+        let mut levels: Vec<Level<G>> = Vec::new();
         for level_idx in 0..config.max_levels {
             // Borrow the current (finest or last coarse) graph in place — no
             // per-level clone of the whole graph.
@@ -115,35 +162,25 @@ impl MultilevelHierarchy {
             if current.num_nodes() <= config.stop_at_nodes {
                 break;
             }
-            let seed = config
-                .seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(level_idx as u64);
-            let matching = matcher(current, seed);
+            let matching = matcher(current, level_seed(config.seed, level_idx));
             let shrink = matching.cardinality() as f64 / current.num_nodes().max(1) as f64;
             if matching.cardinality() == 0 || shrink < config.min_shrink_factor {
                 break;
             }
-            let Contraction {
-                coarse_graph,
-                coarse_of,
-            } = contract_matching(current, &matching);
-            levels.push(Level {
-                graph: coarse_graph,
-                coarse_of,
-            });
+            let (graph, coarse_of) = contract(current, &matching, level_idx + 1)?;
+            levels.push(Level { graph, coarse_of });
         }
-        MultilevelHierarchy { finest, levels }
+        Ok(Hierarchy { finest, levels })
     }
 
     /// The input (finest) graph.
-    pub fn finest(&self) -> &CsrGraph {
+    pub fn finest(&self) -> &G {
         &self.finest
     }
 
     /// The coarsest graph of the hierarchy (the finest graph if no contraction
     /// happened).
-    pub fn coarsest(&self) -> &CsrGraph {
+    pub fn coarsest(&self) -> &G {
         self.levels.last().map(|l| &l.graph).unwrap_or(&self.finest)
     }
 
@@ -153,7 +190,7 @@ impl MultilevelHierarchy {
     }
 
     /// The graph at `level` (0 = finest, `num_levels() - 1` = coarsest).
-    pub fn graph_at(&self, level: usize) -> &CsrGraph {
+    pub fn graph_at(&self, level: usize) -> &G {
         if level == 0 {
             &self.finest
         } else {
@@ -185,6 +222,24 @@ impl MultilevelHierarchy {
         assert!(level > 0, "cannot project below the finest level");
         let coarse_of = &self.levels[level - 1].coarse_of;
         state.project(self.graph_at(level - 1), coarse_of)
+    }
+
+    /// Uncoarsening (§5): builds the run's one [`PartitionState`] from
+    /// `initial` on the coarsest graph — the only full `O(n + m)` derivation —
+    /// and hands it to `refine`; then projects it one level down at a time
+    /// and refines it again on every finer graph. Returns the state of the
+    /// finest graph.
+    pub fn uncoarsen<R>(&self, initial: Partition, mut refine: R) -> PartitionState
+    where
+        R: FnMut(&G, &mut PartitionState),
+    {
+        let mut state = PartitionState::build(self.coarsest(), initial);
+        refine(self.coarsest(), &mut state);
+        for level in (1..self.num_levels()).rev() {
+            state = self.project_state_one_level(level, &state);
+            refine(self.graph_at(level - 1), &mut state);
+        }
+        state
     }
 
     /// Projects a partition of the coarsest graph all the way down to the

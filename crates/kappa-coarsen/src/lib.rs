@@ -31,5 +31,5 @@ pub mod hierarchy;
 pub mod tiered;
 
 pub use contract::{contract_matching, contract_matching_reference, Contraction};
-pub use hierarchy::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
+pub use hierarchy::{level_seed, CoarseningConfig, Hierarchy, MatcherKind, MultilevelHierarchy};
 pub use tiered::{contract_to_tier, SpillConfig, TierSpec, TieredContraction, TieredHierarchy};

@@ -7,9 +7,10 @@
 //! **level by level from whatever tier the fine graph occupies** and writes
 //! each coarse graph either to disk ([`kappa_mem::PagedGraph`]) while it is still big,
 //! or into compact RAM ([`kappa_mem::CompactCsr`]) once it shrinks below a threshold —
-//! the full plain-CSR form of a fine level never exists.
+//! the full plain-CSR form of a fine level never exists. Both are the same
+//! [`Hierarchy`] type; only the contraction step differs.
 //!
-//! [`contract_to_tier`] replicates [`contract_matching`](crate::contract_matching)'s semantics exactly
+//! [`contract_to_tier`] has [`contract_matching`](crate::contract_matching)'s semantics exactly
 //! (same coarse-id assignment, same per-node merged adjacency, summed node
 //! weights, averaged coordinates where kept), so for the same matching the
 //! coarse graph decodes bit-identically on every tier — the workspace parity
@@ -18,19 +19,15 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use kappa_graph::{
-    CsrGraph, EdgeWeight, GraphAccess, NodeId, NodeWeight, PartitionState, INVALID_NODE,
-};
+use kappa_graph::{EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE};
 use kappa_matching::Matching;
 use kappa_mem::paged::PagedWriter;
 use kappa_mem::{CompactWriter, PageCacheConfig, TierGraph};
 
-use crate::hierarchy::CoarseningConfig;
+use crate::hierarchy::{CoarseningConfig, Hierarchy};
 
 /// Where a contraction result should be stored.
 pub enum TierSpec<'a> {
-    /// Plain CSR arrays in RAM.
-    Ram,
     /// Delta-varint arena in RAM.
     Compact,
     /// Paged file at the given path.
@@ -52,7 +49,7 @@ pub struct TieredContraction {
 
 /// Contracts `matching` in `fine`, emitting the coarse graph to `spec`.
 ///
-/// Mirrors [`contract_matching`](crate::contract_matching)(crate::contract_matching) node for node:
+/// Follows [`contract_matching`](crate::contract_matching) node for node:
 /// matched pairs share the coarse id assigned at the smaller endpoint, each
 /// coarse node's adjacency is the merged (sorted, parallel-edges-summed,
 /// self-loops-dropped) union of its fine nodes' lists, node weights are
@@ -94,24 +91,10 @@ pub fn contract_to_tier<G: GraphAccess>(
     // Coarse graphs are generically weighted (merged parallel edges), so the
     // compact/paged encodings always store weights explicitly.
     enum Sink {
-        Ram {
-            xadj: Vec<usize>,
-            adjncy: Vec<NodeId>,
-            adjwgt: Vec<EdgeWeight>,
-        },
         Compact(CompactWriter),
         Paged(PagedWriter, PageCacheConfig),
     }
     let mut sink = match spec {
-        TierSpec::Ram => Sink::Ram {
-            xadj: {
-                let mut x = Vec::with_capacity(coarse_n + 1);
-                x.push(0);
-                x
-            },
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-        },
         TierSpec::Compact => Sink::Compact(CompactWriter::new(coarse_n, true)),
         TierSpec::Paged { path, cache } => {
             Sink::Paged(PagedWriter::create(path, coarse_n, true)?, cache)
@@ -149,17 +132,6 @@ pub fn contract_to_tier<G: GraphAccess>(
             }
         }
         match &mut sink {
-            Sink::Ram {
-                xadj,
-                adjncy,
-                adjwgt,
-            } => {
-                for &(t, w) in &merged {
-                    adjncy.push(t);
-                    adjwgt.push(w);
-                }
-                xadj.push(adjncy.len());
-            }
             Sink::Compact(w) => w.push_node(&merged),
             Sink::Paged(w, _) => w.push_node(&merged)?,
         }
@@ -181,11 +153,6 @@ pub fn contract_to_tier<G: GraphAccess>(
     }
 
     let coarse = match sink {
-        Sink::Ram {
-            xadj,
-            adjncy,
-            adjwgt,
-        } => TierGraph::Ram(CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, coords)),
         Sink::Compact(w) => TierGraph::Compact(w.finish(Some(vwgt), coords)),
         Sink::Paged(w, cache) => TierGraph::Paged(w.finish(Some(vwgt), cache)?),
     };
@@ -218,23 +185,9 @@ impl SpillConfig {
     }
 }
 
-/// One coarse level of the tiered hierarchy.
-struct TieredLevel {
-    graph: TierGraph,
-    coarse_of: Vec<NodeId>,
-}
-
-/// A multilevel hierarchy whose levels live on mixed storage tiers.
-///
-/// The control flow — stop conditions, per-level seed mixing, shrink guard —
-/// is a line-for-line replica of
-/// [`MultilevelHierarchy::build_with`](crate::MultilevelHierarchy::build_with),
-/// so a tiered run performs the same matchings on the same graphs as the
-/// classic path and the hierarchies are structurally identical.
-pub struct TieredHierarchy {
-    finest: TierGraph,
-    levels: Vec<TieredLevel>,
-}
+/// A multilevel hierarchy whose levels live on mixed storage tiers: coarse
+/// levels are paged or compact per a [`SpillConfig`].
+pub type TieredHierarchy = Hierarchy<TierGraph>;
 
 impl TieredHierarchy {
     /// Builds the hierarchy with a caller-supplied matcher (called once per
@@ -244,29 +197,15 @@ impl TieredHierarchy {
         finest: TierGraph,
         config: &CoarseningConfig,
         spill: &SpillConfig,
-        mut matcher: F,
+        matcher: F,
     ) -> io::Result<Self>
     where
         F: FnMut(&TierGraph, u64) -> Matching,
     {
         std::fs::create_dir_all(&spill.spill_dir)?;
-        let mut levels: Vec<TieredLevel> = Vec::new();
-        for level_idx in 0..config.max_levels {
-            let current = levels.last().map(|l| &l.graph).unwrap_or(&finest);
-            if current.num_nodes() <= config.stop_at_nodes {
-                break;
-            }
-            let seed = config
-                .seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(level_idx as u64);
-            let matching = matcher(current, seed);
-            let shrink = matching.cardinality() as f64 / current.num_nodes().max(1) as f64;
-            if matching.cardinality() == 0 || shrink < config.min_shrink_factor {
-                break;
-            }
-            let spill_path = spill.spill_dir.join(format!("level-{}.kpg", level_idx + 1));
-            let spec = if current.num_half_edges() > spill.spill_above_half_edges {
+        Self::build_by(finest, config, matcher, |fine, matching, level| {
+            let spill_path = spill.spill_dir.join(format!("level-{level}.kpg"));
+            let spec = if fine.num_half_edges() > spill.spill_above_half_edges {
                 TierSpec::Paged {
                     path: &spill_path,
                     cache: spill.cache,
@@ -277,40 +216,12 @@ impl TieredHierarchy {
             let TieredContraction {
                 mut coarse,
                 coarse_of,
-            } = contract_to_tier(current, &matching, spec)?;
+            } = contract_to_tier(fine, matching, spec)?;
             if let TierGraph::Paged(g) = &mut coarse {
                 g.set_delete_on_drop(true);
             }
-            levels.push(TieredLevel {
-                graph: coarse,
-                coarse_of,
-            });
-        }
-        Ok(TieredHierarchy { finest, levels })
-    }
-
-    /// The input (finest) graph.
-    pub fn finest(&self) -> &TierGraph {
-        &self.finest
-    }
-
-    /// The coarsest graph (the finest if no contraction happened).
-    pub fn coarsest(&self) -> &TierGraph {
-        self.levels.last().map(|l| &l.graph).unwrap_or(&self.finest)
-    }
-
-    /// Number of graphs in the hierarchy (finest included).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len() + 1
-    }
-
-    /// The graph at `level` (0 = finest).
-    pub fn graph_at(&self, level: usize) -> &TierGraph {
-        if level == 0 {
-            &self.finest
-        } else {
-            &self.levels[level - 1].graph
-        }
+            Ok((coarse, coarse_of))
+        })
     }
 
     /// Storage tier of every level, finest first — for logs and tests.
@@ -318,23 +229,6 @@ impl TieredHierarchy {
         (0..self.num_levels())
             .map(|l| self.graph_at(l).tier_name())
             .collect()
-    }
-
-    /// Projects a full [`PartitionState`] one level down (seeded index
-    /// projection, same as the classic hierarchy).
-    ///
-    /// # Panics
-    /// Panics if `level == 0`.
-    pub fn project_state_one_level(&self, level: usize, state: &PartitionState) -> PartitionState {
-        assert!(level > 0, "cannot project below the finest level");
-        let coarse_of = &self.levels[level - 1].coarse_of;
-        state.project(self.graph_at(level - 1), coarse_of)
-    }
-
-    /// Total node weight must be invariant across levels.
-    pub fn node_weight_invariant_holds(&self) -> bool {
-        let w = self.finest.total_node_weight();
-        (0..self.num_levels()).all(|l| self.graph_at(l).total_node_weight() == w)
     }
 }
 
@@ -355,10 +249,6 @@ mod tests {
         let g = kappa_gen::rgg::random_geometric_graph(2000, 17);
         let m = compute_matching(&g, MatchingAlgorithm::Gpa, EdgeRating::ExpansionStar2, 5);
         let classic = contract_matching(&g, &m);
-
-        let ram = contract_to_tier(&g, &m, TierSpec::Ram).unwrap();
-        assert_eq!(ram.coarse_of, classic.coarse_of);
-        assert_eq!(ram.coarse.as_ram().unwrap(), &classic.coarse_graph);
 
         let compact = contract_to_tier(&g, &m, TierSpec::Compact).unwrap();
         assert_eq!(compact.coarse_of, classic.coarse_of);

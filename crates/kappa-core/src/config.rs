@@ -18,7 +18,7 @@
 //! repetition loop lives in the experiment harness, not here).
 
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
-use kappa_refine::QueueSelection;
+use kappa_refine::{QueueSelection, RefinementConfig};
 use serde::{Deserialize, Serialize};
 
 /// Named parameter presets (Table 2).
@@ -196,6 +196,29 @@ impl KappaConfig {
     pub fn contraction_stop_nodes(&self, n: usize) -> usize {
         let per_pe = (n as f64 / (self.contraction_alpha * (self.k as f64).powi(2))).ceil();
         (self.k as usize) * (per_pe.max(20.0) as usize)
+    }
+
+    /// The coarsening stop every driver uses for a graph of `n` nodes:
+    /// [`contraction_stop_nodes`](Self::contraction_stop_nodes), but at least
+    /// two nodes per block.
+    pub fn stop_at_nodes(&self, n: usize) -> usize {
+        self.contraction_stop_nodes(n)
+            .max(2 * self.k.max(1) as usize)
+    }
+
+    /// The refinement settings of this configuration, as every driver runs
+    /// them on every level.
+    pub fn refinement_config(&self) -> RefinementConfig {
+        RefinementConfig {
+            epsilon: self.epsilon,
+            bfs_depth: self.bfs_depth,
+            max_global_iterations: self.max_global_iterations,
+            local_iterations: self.local_iterations,
+            stop_after_no_change: self.stop_after_no_change,
+            queue_selection: self.queue_selection,
+            patience_alpha: self.fm_patience,
+            seed: self.seed.wrapping_add(0x5EF1),
+        }
     }
 }
 

@@ -36,6 +36,7 @@ pub mod tiered;
 
 pub use config::{ConfigPreset, KappaConfig};
 pub use dynamic::{DynamicConfig, DynamicSession, DynamicStats};
+pub use kappa_coarsen::level_seed;
 pub use metrics::{geometric_mean, PartitionMetrics};
 pub use partitioner::{KappaPartitioner, PartitionResult, PhaseTimings};
 pub use prepartition::{coordinate_prepartition, index_prepartition};

@@ -1,13 +1,15 @@
 //! The KaPPa multilevel pipeline: parallel coarsening → repeated initial
 //! partitioning → parallel pairwise refinement during uncoarsening.
 
+use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, Partition, PartitionState};
+use kappa_coarsen::{CoarseningConfig, Hierarchy, MatcherKind, MultilevelHierarchy};
+use kappa_graph::{CsrGraph, GraphAccess, Partition};
 use kappa_initial::{best_of_repeats, InitialAlgorithm, InitialPartitionConfig};
 use kappa_matching::{parallel_matching, ParallelMatchingConfig};
-use kappa_refine::{refine_partition, RefinementConfig, RefinementStats};
+use kappa_refine::{refine_partition, RefinementStats};
 
 use crate::config::KappaConfig;
 use crate::metrics::PartitionMetrics;
@@ -80,30 +82,85 @@ impl KappaPartitioner {
     /// pool of that size (the shared-memory stand-in for "number of PEs");
     /// otherwise the ambient pool is used.
     pub fn partition(&self, graph: &CsrGraph) -> PartitionResult {
-        if self.config.num_threads > 0 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(self.config.num_threads)
-                .build()
-                .expect("failed to build thread pool");
-            pool.install(|| self.partition_inner(graph))
+        let config = self.config;
+        let num_parts = if config.num_threads > 0 {
+            config.num_threads
         } else {
-            self.partition_inner(graph)
-        }
+            rayon::current_num_threads()
+        };
+        let matcher = MatcherKind::Parallel {
+            local: config.matching,
+            num_parts,
+        };
+        let Ok((result, _)) = run_multilevel(
+            graph,
+            &config,
+            matcher,
+            |graph: &CsrGraph, coarsen_config| {
+                let hierarchy = MultilevelHierarchy::build_with(
+                    graph.clone(),
+                    coarsen_config,
+                    |level_graph, seed| {
+                        // Geometric pre-partitioning (recursive coordinate
+                        // bisection) when coordinates exist; index ranges
+                        // otherwise (§3.3).
+                        let prepart = coordinate_prepartition(level_graph, num_parts);
+                        let pconfig = ParallelMatchingConfig {
+                            num_parts,
+                            local_algorithm: config.matching,
+                            rating: config.rating,
+                            seed,
+                        };
+                        parallel_matching(level_graph, Some(&prepart), &pconfig)
+                    },
+                );
+                Ok::<_, Infallible>(hierarchy)
+            },
+            best_of_repeats,
+        );
+        result
     }
+}
 
-    fn partition_inner(&self, graph: &CsrGraph) -> PartitionResult {
-        let config = &self.config;
+/// The multilevel pipeline of every shared-memory driver (§2–§5), inside a
+/// pool of `config.num_threads` workers when that is set.
+///
+/// 1. `coarsen` builds the hierarchy over `finest` (whose storage decides
+///    the level type `G`) with the matcher described by `matcher`.
+/// 2. `initial` partitions the coarsest graph with
+///    `initial_repeats × parts` repeats, where `parts` is the matcher's part
+///    count (1 for a sequential matcher).
+/// 3. The hierarchy's uncoarsening refines one persistent state level by
+///    level.
+///
+/// Degenerate inputs (no nodes, or `k = 1`) are never coarsened; for them
+/// the returned hierarchy is `None`.
+pub(crate) fn run_multilevel<F, G, E>(
+    finest: F,
+    config: &KappaConfig,
+    matcher: MatcherKind,
+    coarsen: impl FnOnce(F, &CoarseningConfig) -> Result<Hierarchy<G>, E>,
+    initial: impl FnOnce(&G, &InitialPartitionConfig) -> Partition,
+) -> Result<(PartitionResult, Option<Hierarchy<G>>), E>
+where
+    F: Borrow<G>,
+    G: GraphAccess + Sync,
+{
+    let run = || {
         // kappa-lint: allow(wall-clock) -- phase timing for PartitionMetrics; never feeds the partition.
         let start = Instant::now();
         let k = config.k.max(1);
-        let n = graph.num_nodes();
-
-        // Degenerate inputs: fewer nodes than blocks, k == 1, empty graph.
+        let n = finest.borrow().num_nodes();
         if n == 0 || k == 1 {
             let partition = Partition::trivial(k, n);
             let runtime = start.elapsed();
-            return PartitionResult {
-                metrics: PartitionMetrics::measure(graph, &partition, config.epsilon, runtime),
+            let result = PartitionResult {
+                metrics: PartitionMetrics::measure(
+                    finest.borrow(),
+                    &partition,
+                    config.epsilon,
+                    runtime,
+                ),
                 partition,
                 timings: PhaseTimings::default(),
                 hierarchy_levels: 1,
@@ -112,105 +169,61 @@ impl KappaPartitioner {
                 boundary_full_builds: 0,
                 quotient_full_scans: 0,
             };
+            return Ok((result, None));
         }
 
-        // --- Phase 1: contraction (parallel matching + contraction). ---
+        // --- Phase 1: contraction. ---
         // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
         let coarsen_start = Instant::now();
-        let num_parts = if config.num_threads > 0 {
-            config.num_threads
-        } else {
-            rayon::current_num_threads()
+        let parts = match matcher {
+            MatcherKind::Parallel { num_parts, .. } => num_parts,
+            MatcherKind::Sequential(_) => 1,
         };
-        let stop_at_nodes = config.contraction_stop_nodes(n).max(2 * k as usize);
         let coarsen_config = CoarseningConfig {
             rating: config.rating,
-            matcher: MatcherKind::Parallel {
-                local: config.matching,
-                num_parts,
-            },
-            stop_at_nodes,
+            matcher,
+            stop_at_nodes: config.stop_at_nodes(n),
             min_shrink_factor: 0.02,
             max_levels: 64,
             seed: config.seed,
         };
-        let matching_algorithm = config.matching;
-        let rating = config.rating;
-        let hierarchy = MultilevelHierarchy::build_with(
-            graph.clone(),
-            &coarsen_config,
-            move |level_graph, seed| {
-                // Geometric pre-partitioning (recursive coordinate bisection)
-                // when coordinates exist; index ranges otherwise (§3.3).
-                let prepart = coordinate_prepartition(level_graph, num_parts);
-                let pconfig = ParallelMatchingConfig {
-                    num_parts,
-                    local_algorithm: matching_algorithm,
-                    rating,
-                    seed,
-                };
-                parallel_matching(level_graph, Some(&prepart), &pconfig)
-            },
-        );
+        let hierarchy = coarsen(finest, &coarsen_config)?;
         let coarsening_time = coarsen_start.elapsed();
 
         // --- Phase 2: initial partitioning of the coarsest graph. ---
         // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
         let initial_start = Instant::now();
-        let coarsest = hierarchy.coarsest();
         let initial_config = InitialPartitionConfig {
             k,
             epsilon: config.epsilon,
             algorithm: InitialAlgorithm::GreedyGrowing,
-            repeats: config.initial_repeats.max(1) * num_parts,
+            repeats: config.initial_repeats.max(1) * parts,
             seed: config.seed.wrapping_add(0xC0A2),
         };
-        let current = best_of_repeats(coarsest, &initial_config);
+        let current = initial(hierarchy.coarsest(), &initial_config);
         let initial_time = initial_start.elapsed();
 
         // --- Phase 3: uncoarsening with pairwise parallel refinement. ---
         // kappa-lint: allow(wall-clock) -- phase timing for PhaseTimings; never feeds the partition.
         let refine_start = Instant::now();
-        let refinement_config = RefinementConfig {
-            epsilon: config.epsilon,
-            bfs_depth: config.bfs_depth,
-            max_global_iterations: config.max_global_iterations,
-            local_iterations: config.local_iterations,
-            stop_after_no_change: config.stop_after_no_change,
-            queue_selection: config.queue_selection,
-            patience_alpha: config.fm_patience,
-            seed: config.seed.wrapping_add(0x5EF1),
-        };
+        let refinement_config = config.refinement_config();
         let mut refinement = RefinementStats::default();
-
-        // One persistent PartitionState for the whole uncoarsening: built in
-        // full exactly once (here, at the coarsest level — the only O(n + m)
-        // boundary-index build of the run), then refined, projected with a
-        // seeded index, and refined again level by level. Refinement and
-        // rebalancing receive it current and return it current.
-        let coarsest_level = hierarchy.num_levels() - 1;
-        let mut state = PartitionState::build(hierarchy.graph_at(coarsest_level), current);
-        let stats = refine_partition(
-            hierarchy.graph_at(coarsest_level),
-            &mut state,
-            &refinement_config,
-        );
-        accumulate(&mut refinement, &stats);
-        for level in (1..hierarchy.num_levels()).rev() {
-            state = hierarchy.project_state_one_level(level, &state);
-            let fine_graph = hierarchy.graph_at(level - 1);
-            let stats = refine_partition(fine_graph, &mut state, &refinement_config);
-            accumulate(&mut refinement, &stats);
-        }
+        let state = hierarchy.uncoarsen(current, |graph, state| {
+            refinement += refine_partition(graph, state, &refinement_config);
+        });
         let refinement_time = refine_start.elapsed();
 
         let runtime = start.elapsed();
         let boundary_full_builds = state.full_builds();
-        let refinement_stats_scans = refinement.quotient_full_scans;
-        let current = state.into_partition();
-        PartitionResult {
-            metrics: PartitionMetrics::measure(graph, &current, config.epsilon, runtime),
-            partition: current,
+        let partition = state.into_partition();
+        let result = PartitionResult {
+            metrics: PartitionMetrics::measure(
+                hierarchy.finest(),
+                &partition,
+                config.epsilon,
+                runtime,
+            ),
+            partition,
             timings: PhaseTimings {
                 coarsening: coarsening_time,
                 initial_partitioning: initial_time,
@@ -220,17 +233,18 @@ impl KappaPartitioner {
             coarsest_nodes: hierarchy.coarsest().num_nodes(),
             refinement,
             boundary_full_builds,
-            quotient_full_scans: refinement_stats_scans,
-        }
+            quotient_full_scans: refinement.quotient_full_scans,
+        };
+        Ok((result, Some(hierarchy)))
+    };
+    if config.num_threads == 0 {
+        return run();
     }
-}
-
-fn accumulate(total: &mut RefinementStats, delta: &RefinementStats) {
-    total.total_gain += delta.total_gain;
-    total.global_iterations += delta.global_iterations;
-    total.pair_searches += delta.pair_searches;
-    total.nodes_moved += delta.nodes_moved;
-    total.quotient_full_scans += delta.quotient_full_scans;
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(config.num_threads)
+        .build()
+        .expect("failed to build thread pool")
+        .install(run)
 }
 
 #[cfg(test)]

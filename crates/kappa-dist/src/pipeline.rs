@@ -24,10 +24,10 @@
 //! (same seeds, same kernels), which makes `--ranks 1` cut-bit-identical to
 //! `KappaPartitioner` at `--threads 1`; `tests/dist.rs` asserts it.
 
-use kappa_core::KappaConfig;
+use kappa_core::{level_seed, KappaConfig};
 use kappa_graph::{BlockId, BlockWeights, CsrGraph, EdgeWeight, NodeId, NodeWeight, Partition};
 use kappa_initial::{best_of_repeats, quality_key, InitialAlgorithm, InitialPartitionConfig};
-use kappa_refine::{RefinementConfig, RefinementStats};
+use kappa_refine::RefinementStats;
 
 use crate::comm::{
     Comm, CommError, CommErrorKind, CommResult, CommStats, LocalCluster, LocalClusterConfig,
@@ -109,30 +109,12 @@ pub fn partition_distributed_with(
     cluster_config: LocalClusterConfig,
 ) -> CommResult<DistRunResult> {
     let k = config.base.k.max(1);
-    let n = graph.num_nodes();
-    if n == 0 || k == 1 {
-        let partition = Partition::trivial(k, n);
-        return Ok(DistRunResult {
-            edge_cut: partition.edge_cut(graph),
-            partition,
-            hierarchy_levels: 1,
-            coarsest_nodes: n,
-            refinement: RefinementStats::default(),
-            boundary_full_builds_per_rank: vec![0; config.ranks],
-            comm_per_rank: vec![CommStats::default(); config.ranks],
-        });
+    if let Some(trivial) = trivial_result(graph, k, config.ranks) {
+        return Ok(trivial);
     }
-    // Locality-preserving layout (§3.3): with several ranks and available
-    // coordinates, re-order the nodes by recursive coordinate bisection so
-    // each rank owns a spatially contiguous block — otherwise a spatially
-    // random input ordering (e.g. rgg generation order) makes *every* rank
-    // boundary a random cut through the graph and starves the interior
-    // matching. The result is mapped back through the permutation.
-    let layout = spatial_layout(graph, config.ranks);
-    let (work_graph, range_starts): (&CsrGraph, Vec<NodeId>) = match &layout {
-        Some((permuted, ranges, _)) => (permuted, ranges.clone()),
-        None => (graph, crate::graph::even_ranges(n, config.ranks)),
-    };
+    // The layout is computed once per run and shared by every rank.
+    let (range_starts, layout) = spatial_layout(graph, config.ranks);
+    let work_graph = layout.as_ref().map_or(graph, |(permuted, _)| permuted);
 
     let cluster = LocalCluster::with_config(config.ranks, cluster_config);
     let outcomes = cluster.run(|comm| rank_main(comm, work_graph, &range_starts, config));
@@ -147,19 +129,10 @@ pub fn partition_distributed_with(
     if !errors.is_empty() {
         return Err(pick_diagnostic(errors));
     }
-    let full_builds: Vec<usize> = rank_results.iter().map(|r| r.full_builds).collect();
-    let comm_per_rank: Vec<CommStats> = rank_results.iter().map(|r| r.comm.clone()).collect();
-    let mut first = rank_results.swap_remove(0);
-    first.partition = unpermute(k, first.partition, &layout);
-    Ok(DistRunResult {
-        partition: first.partition,
-        edge_cut: first.edge_cut,
-        hierarchy_levels: first.hierarchy_levels,
-        coarsest_nodes: first.coarsest_nodes,
-        refinement: first.refinement,
-        boundary_full_builds_per_rank: full_builds,
-        comm_per_rank,
-    })
+    let full_builds = rank_results.iter().map(|r| r.full_builds).collect();
+    let comm_per_rank = rank_results.iter().map(|r| r.comm.clone()).collect();
+    let first = rank_results.swap_remove(0);
+    Ok(first.into_run(k, &layout, full_builds, comm_per_rank))
 }
 
 /// Runs one rank of the distributed pipeline over an arbitrary [`Comm`]
@@ -188,26 +161,11 @@ pub fn partition_with_comm<C: Comm>(
         });
     }
     let k = config.base.k.max(1);
-    let n = graph.num_nodes();
-    if n == 0 || k == 1 {
-        return Ok((comm.rank() == 0).then(|| {
-            let partition = Partition::trivial(k, n);
-            DistRunResult {
-                edge_cut: partition.edge_cut(graph),
-                partition,
-                hierarchy_levels: 1,
-                coarsest_nodes: n,
-                refinement: RefinementStats::default(),
-                boundary_full_builds_per_rank: vec![0; ranks],
-                comm_per_rank: vec![CommStats::default(); ranks],
-            }
-        }));
+    if let Some(trivial) = trivial_result(graph, k, ranks) {
+        return Ok((comm.rank() == 0).then_some(trivial));
     }
-    let layout = spatial_layout(graph, ranks);
-    let (work_graph, range_starts): (&CsrGraph, Vec<NodeId>) = match &layout {
-        Some((permuted, ranges, _)) => (permuted, ranges.clone()),
-        None => (graph, crate::graph::even_ranges(n, ranks)),
-    };
+    let (range_starts, layout) = spatial_layout(graph, ranks);
+    let work_graph = layout.as_ref().map_or(graph, |(permuted, _)| permuted);
     let result = rank_main(comm, work_graph, &range_starts, config)?;
     // One allgather for both trailers; the comm snapshot inside `result` was
     // taken before it, so local and TCP runs report identical counters.
@@ -216,35 +174,31 @@ pub fn partition_with_comm<C: Comm>(
         return Ok(None);
     }
     let (full_builds, comm_per_rank) = trailers.into_iter().unzip();
-    Ok(Some(DistRunResult {
-        partition: unpermute(k, result.partition, &layout),
-        edge_cut: result.edge_cut,
-        hierarchy_levels: result.hierarchy_levels,
-        coarsest_nodes: result.coarsest_nodes,
-        refinement: result.refinement,
-        boundary_full_builds_per_rank: full_builds,
+    Ok(Some(result.into_run(
+        k,
+        &layout,
+        full_builds,
         comm_per_rank,
-    }))
+    )))
 }
 
-/// Maps a partition over the spatially permuted graph back to the original
-/// node ids (identity when no layout was applied).
-fn unpermute(
-    k: BlockId,
-    partition: Partition,
-    layout: &Option<(CsrGraph, Vec<NodeId>, Vec<NodeId>)>,
-) -> Partition {
-    match layout {
-        Some((_, _, new_of_old)) => {
-            let permuted = partition.assignment();
-            let assignment: Vec<BlockId> = new_of_old
-                .iter()
-                .map(|&new| permuted[new as usize])
-                .collect();
-            Partition::from_assignment(k, assignment)
-        }
-        None => partition,
+/// The result of a degenerate run (no nodes, or `k = 1`), which needs no
+/// cluster at all; `None` for every other input.
+fn trivial_result(graph: &CsrGraph, k: BlockId, ranks: usize) -> Option<DistRunResult> {
+    let n = graph.num_nodes();
+    if n > 0 && k > 1 {
+        return None;
     }
+    let partition = Partition::trivial(k, n);
+    Some(DistRunResult {
+        edge_cut: partition.edge_cut(graph),
+        partition,
+        hierarchy_levels: 1,
+        coarsest_nodes: n,
+        refinement: RefinementStats::default(),
+        boundary_full_builds_per_rank: vec![0; ranks],
+        comm_per_rank: vec![CommStats::default(); ranks],
+    })
 }
 
 /// The most diagnostic error of a failed run: a timeout pinpoints the stuck
@@ -258,16 +212,24 @@ fn pick_diagnostic(errors: Vec<CommError>) -> CommError {
         .unwrap_or_else(|| errors.into_iter().next().expect("at least one error"))
 }
 
-/// The locality-preserving node layout: `None` for one rank (identity — this
-/// keeps `--ranks 1` bit-identical to the shared pipeline) or when the graph
-/// carries no coordinates (index ranges are the paper's fallback too);
-/// otherwise the permuted graph, the per-rank ownership ranges (one
-/// contiguous spatial block each) and the old → new id map.
-fn spatial_layout(graph: &CsrGraph, ranks: usize) -> Option<(CsrGraph, Vec<NodeId>, Vec<NodeId>)> {
-    if ranks <= 1 {
-        return None;
+/// The node layout of a run: the per-rank ownership ranges, plus the
+/// permuted graph and the old → new id map when the nodes were re-ordered.
+///
+/// Locality-preserving layout (§3.3): with several ranks and available
+/// coordinates, the nodes are re-ordered by recursive coordinate bisection so
+/// each rank owns a spatially contiguous block — otherwise a spatially
+/// random input ordering (e.g. rgg generation order) makes *every* rank
+/// boundary a random cut through the graph and starves the interior
+/// matching. With one rank (identity — this keeps `--ranks 1` bit-identical
+/// to the shared pipeline) or without coordinates (index ranges are the
+/// paper's fallback too) the nodes keep their ids and split into even ranges.
+fn spatial_layout(
+    graph: &CsrGraph,
+    ranks: usize,
+) -> (Vec<NodeId>, Option<(CsrGraph, Vec<NodeId>)>) {
+    if ranks <= 1 || graph.coords().is_none() {
+        return (even_ranges(graph.num_nodes(), ranks), None);
     }
-    graph.coords()?;
     let part = kappa_core::coordinate_prepartition(graph, ranks);
     // New ids: ascending by (part, old id) — each part becomes a contiguous
     // range, old relative order preserved within a part.
@@ -317,11 +279,13 @@ fn spatial_layout(graph: &CsrGraph, ranks: usize) -> Option<(CsrGraph, Vec<NodeI
         xadj.push(adjncy.len());
         vwgt.push(graph.node_weight(old));
     }
-    Some((
-        CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None),
+    (
         range_starts,
-        new_of_old,
-    ))
+        Some((
+            CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt, None),
+            new_of_old,
+        )),
+    )
 }
 
 /// Per-rank output of the SPMD body (the partition is replicated).
@@ -333,6 +297,39 @@ struct RankResult {
     refinement: RefinementStats,
     full_builds: usize,
     comm: CommStats,
+}
+
+impl RankResult {
+    /// The run's result from rank 0's output and every rank's trailers. The
+    /// partition is mapped back through the layout's permutation, if any.
+    fn into_run(
+        self,
+        k: BlockId,
+        layout: &Option<(CsrGraph, Vec<NodeId>)>,
+        boundary_full_builds_per_rank: Vec<usize>,
+        comm_per_rank: Vec<CommStats>,
+    ) -> DistRunResult {
+        let partition = match layout {
+            Some((_, new_of_old)) => {
+                let permuted = self.partition.assignment();
+                let assignment: Vec<BlockId> = new_of_old
+                    .iter()
+                    .map(|&new| permuted[new as usize])
+                    .collect();
+                Partition::from_assignment(k, assignment)
+            }
+            None => self.partition,
+        };
+        DistRunResult {
+            partition,
+            edge_cut: self.edge_cut,
+            hierarchy_levels: self.hierarchy_levels,
+            coarsest_nodes: self.coarsest_nodes,
+            refinement: self.refinement,
+            boundary_full_builds_per_rank,
+            comm_per_rank,
+        }
+    }
 }
 
 /// How many ranks stay active for a level of `n` global nodes: at the
@@ -429,15 +426,14 @@ fn rank_main<C: Comm>(
 ) -> CommResult<RankResult> {
     let base = &config.base;
     let k = base.k.max(1);
-    let n = graph.num_nodes();
-    let stop_at_nodes = base.contraction_stop_nodes(n).max(2 * k as usize);
+    let stop_at_nodes = base.stop_at_nodes(graph.num_nodes());
 
     // --- Phase 1: distributed coarsening. ---
     comm.set_phase("coarsen");
     let mut levels: Vec<DistLevel> = Vec::new();
     let mut current = DistGraph::from_global_ranges(graph, range_starts.to_vec(), comm.rank());
     let mut active = comm.num_ranks();
-    for level_idx in 0..64u64 {
+    for level_idx in 0..64 {
         let n_cur = current.num_global_nodes();
         // Coarse-level rank folding: concentrate a small level on fewer
         // ranks *before* matching it (and before the stop check, so the
@@ -451,12 +447,8 @@ fn rank_main<C: Comm>(
         if n_cur <= stop_at_nodes {
             break;
         }
-        let level_seed = base
-            .seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(level_idx);
-        let matching =
-            distributed_matching(comm, &current, base.matching, base.rating, level_seed)?;
+        let seed = level_seed(base.seed, level_idx);
+        let matching = distributed_matching(comm, &current, base.matching, base.rating, seed)?;
         let shrink = matching.matched_pairs as f64 / n_cur.max(1) as f64;
         if matching.matched_pairs == 0 || shrink < 0.02 {
             break;
@@ -509,16 +501,7 @@ fn rank_main<C: Comm>(
     let winner = comm.broadcast(winner_rank, (comm.rank() == winner_rank).then_some(mine))?;
 
     // --- Phase 3: uncoarsening with pairwise distributed refinement. ---
-    let refinement_config = RefinementConfig {
-        epsilon: base.epsilon,
-        bfs_depth: base.bfs_depth,
-        max_global_iterations: base.max_global_iterations,
-        local_iterations: base.local_iterations,
-        stop_after_no_change: base.stop_after_no_change,
-        queue_selection: base.queue_selection,
-        patience_alpha: base.fm_patience,
-        seed: base.seed.wrapping_add(0x5EF1),
-    };
+    let refinement_config = base.refinement_config();
     let mut stats = RefinementStats::default();
 
     // Coarsest-level state: the one full boundary-index build of the run.

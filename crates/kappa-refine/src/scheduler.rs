@@ -86,7 +86,7 @@ impl Default for RefinementConfig {
 }
 
 /// Statistics returned by [`refine_partition`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefinementStats {
     /// Total cut improvement over the whole refinement.
     pub total_gain: i64,
@@ -102,6 +102,18 @@ pub struct RefinementStats {
     /// reference ([`refine_partition_reference`]) pays one per global
     /// iteration.
     pub quotient_full_scans: usize,
+}
+
+/// Totals the statistics of several refinement calls, e.g. over the levels
+/// of one uncoarsening.
+impl std::ops::AddAssign for RefinementStats {
+    fn add_assign(&mut self, delta: RefinementStats) {
+        self.total_gain += delta.total_gain;
+        self.global_iterations += delta.global_iterations;
+        self.pair_searches += delta.pair_searches;
+        self.nodes_moved += delta.nodes_moved;
+        self.quotient_full_scans += delta.quotient_full_scans;
+    }
 }
 
 /// The delta a single pair search hands back to the scheduler: the surviving
