@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use kappa_graph::{EdgeWeight, GraphAccess, NodeId, NodeWeight, INVALID_NODE};
 use kappa_matching::Matching;
 use kappa_mem::paged::PagedWriter;
-use kappa_mem::{CompactWriter, PageCacheConfig, TierGraph};
+use kappa_mem::{CacheStats, CompactWriter, PageCacheConfig, PagedGraph, TierGraph};
 
 use crate::hierarchy::{CoarseningConfig, Hierarchy};
 
@@ -229,6 +229,18 @@ impl TieredHierarchy {
         (0..self.num_levels())
             .map(|l| self.graph_at(l).tier_name())
             .collect()
+    }
+
+    /// Page-cache hits and misses summed over the paged levels, each
+    /// counted since the level was opened.
+    pub fn cache_stats(&self) -> CacheStats {
+        (0..self.num_levels())
+            .filter_map(|l| self.graph_at(l).as_paged())
+            .map(PagedGraph::cache_stats)
+            .fold(CacheStats::default(), |sum, s| CacheStats {
+                hits: sum.hits + s.hits,
+                misses: sum.misses + s.misses,
+            })
     }
 }
 

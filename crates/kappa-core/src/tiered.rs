@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use kappa_coarsen::{MatcherKind, SpillConfig, TieredHierarchy};
 use kappa_initial::best_of_repeats;
 use kappa_matching::compute_matching;
-use kappa_mem::TierGraph;
+use kappa_mem::{CacheStats, PagedGraph, TierGraph};
 
 use crate::config::KappaConfig;
 use crate::partitioner::{run_multilevel, PartitionResult};
@@ -66,12 +66,21 @@ impl MemoryTier {
 }
 
 /// A tiered run's outcome: the usual [`PartitionResult`] plus which storage
-/// tier every hierarchy level ended up on (finest first).
+/// tier every hierarchy level ended up on (finest first) and how the paged
+/// levels' page caches fared.
 pub struct TieredPartitionResult {
     /// The partition, metrics and phase timings (same shape as a classic run).
     pub result: PartitionResult,
     /// Storage tier per hierarchy level, e.g. `["paged", "paged", "compact", …]`.
     pub level_tiers: Vec<&'static str>,
+    /// Page-cache lookups on the paged levels while the hierarchy was built.
+    /// Both counts are zero when no level is paged or the input was too
+    /// degenerate to coarsen.
+    pub cache_coarsening: CacheStats,
+    /// Page-cache lookups on the paged levels from the end of coarsening to
+    /// the end of the call: initial partitioning, refinement and the final
+    /// cut measurement (one sweep of the finest level).
+    pub cache_refinement: CacheStats,
 }
 
 /// Partitions `finest` into `config.k` blocks on its storage tier.
@@ -87,22 +96,41 @@ pub fn partition_tiered(
     spill: &SpillConfig,
 ) -> io::Result<TieredPartitionResult> {
     let finest_tier = finest.tier_name();
+    // The finest level may have served reads before this call.
+    let before = finest
+        .as_paged()
+        .map(PagedGraph::cache_stats)
+        .unwrap_or_default();
+    let mut after_coarsening = before;
     let (result, hierarchy) = run_multilevel(
         finest,
         config,
         MatcherKind::Sequential(config.matching),
         |finest, coarsen_config| {
-            TieredHierarchy::build_with(finest, coarsen_config, spill, |level_graph, seed| {
-                compute_matching(level_graph, config.matching, config.rating, seed)
-            })
+            let hierarchy =
+                TieredHierarchy::build_with(finest, coarsen_config, spill, |level_graph, seed| {
+                    compute_matching(level_graph, config.matching, config.rating, seed)
+                })?;
+            after_coarsening = hierarchy.cache_stats();
+            Ok::<_, io::Error>(hierarchy)
         },
         // The coarsest level is small by construction.
         |coarsest: &TierGraph, initial_config| best_of_repeats(&coarsest.to_csr(), initial_config),
     )?;
-    let level_tiers = hierarchy.map_or_else(|| vec![finest_tier], |h| h.tier_names());
+    // Read before the hierarchy, and with it every spilled level, drops.
+    let (level_tiers, at_end) = hierarchy.map_or_else(
+        || (vec![finest_tier], after_coarsening),
+        |h| (h.tier_names(), h.cache_stats()),
+    );
+    let delta = |to: CacheStats, from: CacheStats| CacheStats {
+        hits: to.hits - from.hits,
+        misses: to.misses - from.misses,
+    };
     Ok(TieredPartitionResult {
         result,
         level_tiers,
+        cache_coarsening: delta(after_coarsening, before),
+        cache_refinement: delta(at_end, after_coarsening),
     })
 }
 
@@ -209,6 +237,39 @@ mod tests {
             tiered.level_tiers
         );
         std::fs::remove_dir_all(&sp.spill_dir).unwrap();
+    }
+
+    /// A hard gate on a deterministic counter: at one thread the page-cache
+    /// counts of a paged run repeat exactly, so refinement's misses can be
+    /// held under a ceiling. When every pair search read the paged graph
+    /// directly, this run missed 73 794 pages during refinement (220 583
+    /// hits); reading each band once through the band memo, it misses
+    /// 12 078 (140 140 hits). The ceiling is half the former count.
+    #[test]
+    fn paged_refinement_stays_under_its_page_miss_ceiling() {
+        const CEILING: u64 = 73_794 / 2;
+        let g = kappa_gen::rgg::random_geometric_graph(1 << 13, 7);
+        let config = KappaConfig::fast(8).with_seed(3).with_threads(1);
+        let mut sp = spill("miss-ceiling");
+        sp.spill_above_half_edges = 1000;
+        sp.cache = PageCacheConfig {
+            page_size: 4096,
+            cache_pages: 8,
+        };
+        std::fs::create_dir_all(&sp.spill_dir).unwrap();
+        let mut paged =
+            kappa_mem::PagedGraph::from_graph(&g, &sp.spill_dir.join("finest.kpg"), sp.cache)
+                .unwrap();
+        paged.set_delete_on_drop(true);
+        let tiered = partition_tiered(TierGraph::Paged(paged), &config, &sp).unwrap();
+        std::fs::remove_dir_all(&sp.spill_dir).unwrap();
+        let (coarsening, refinement) = (tiered.cache_coarsening, tiered.cache_refinement);
+        assert!(coarsening.misses > 0 && refinement.misses > 0);
+        assert!(
+            refinement.misses <= CEILING,
+            "refinement missed {} pages, ceiling {CEILING}",
+            refinement.misses
+        );
     }
 
     #[test]

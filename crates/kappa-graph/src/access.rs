@@ -95,6 +95,24 @@ pub trait GraphAccess: Adjacency {
     fn coord(&self, v: NodeId) -> Option<[f64; 2]> {
         self.coords().map(|c| c[v as usize])
     }
+
+    /// True when the adjacency lives on secondary storage, so that a read
+    /// can cost a disk access. Algorithms that read the same nodes many
+    /// times (the pairwise FM search) then copy the adjacency they need into
+    /// RAM once, in ascending node order, instead of reading it directly.
+    /// A property of the storage, not a setting: `false` for every in-RAM
+    /// level.
+    fn is_out_of_core(&self) -> bool {
+        false
+    }
+
+    /// Hint that the adjacency of `nodes` is read next. A view that copies
+    /// adjacency into RAM loads it here; storage levels ignore it.
+    /// [`band_around_boundary_in`](crate::band_around_boundary_in) calls it
+    /// once per BFS layer.
+    fn prefetch(&self, nodes: &[NodeId]) {
+        let _ = nodes;
+    }
 }
 
 impl GraphAccess for CsrGraph {

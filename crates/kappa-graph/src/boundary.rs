@@ -5,8 +5,6 @@
 //! *boundary band* to the partner PE. The local search is then limited to the
 //! band; anything beyond it can only be reached in a later global iteration.
 
-use std::collections::VecDeque;
-
 use crate::access::GraphAccess;
 use crate::partition::BlockAssignment;
 use crate::types::{BlockId, NodeId};
@@ -63,6 +61,13 @@ pub fn band_around_boundary<G: GraphAccess, A: BlockAssignment>(
 /// perform no `O(n)` allocation. `dist` is grown to `n` entries of `u32::MAX`
 /// on first use and left fully reset on return, at `O(|band|)` cost; the
 /// returned band is identical to [`band_around_boundary`]'s.
+///
+/// The BFS expands one layer at a time, which visits nodes in exactly the
+/// order of a FIFO queue. Every layer, the last one included, is handed to
+/// [`GraphAccess::prefetch`] once before it is expanded (or, at the depth
+/// bound, instead of being expanded), so a view that copies adjacency into
+/// RAM — the refinement's band memo over a paged graph — reads every band
+/// node once, in one sorted sweep per layer.
 pub fn band_around_boundary_in<G: GraphAccess, A: BlockAssignment>(
     graph: &G,
     partition: &A,
@@ -83,26 +88,32 @@ pub fn band_around_boundary_in<G: GraphAccess, A: BlockAssignment>(
     // BFS depths are clamped to the sentinel; a band never reaches 2^32 hops.
     let depth = depth.min((UNSEEN - 1) as usize) as u32;
     let mut order = Vec::new();
-    let mut queue = VecDeque::new();
     for &s in seeds {
         if allowed(s) && dist[s as usize] == UNSEEN {
             dist[s as usize] = 0;
             order.push(s);
-            queue.push_back(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u as usize];
+    // `order[layer_start..]` is the layer at distance `d`; expanding it
+    // appends the next one.
+    let mut layer_start = 0;
+    let mut d = 0u32;
+    while layer_start < order.len() {
+        let layer_end = order.len();
+        graph.prefetch(&order[layer_start..layer_end]);
         if d >= depth {
-            continue;
+            break;
         }
-        graph.for_each_edge(u, |v, _| {
-            if allowed(v) && dist[v as usize] == UNSEEN {
-                dist[v as usize] = d + 1;
-                order.push(v);
-                queue.push_back(v);
-            }
-        });
+        for i in layer_start..layer_end {
+            graph.for_each_edge(order[i], |v, _| {
+                if allowed(v) && dist[v as usize] == UNSEEN {
+                    dist[v as usize] = d + 1;
+                    order.push(v);
+                }
+            });
+        }
+        layer_start = layer_end;
+        d += 1;
     }
     // Reset only the touched entries so the scratch can be reused.
     for &v in &order {

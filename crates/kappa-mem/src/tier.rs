@@ -161,6 +161,15 @@ impl GraphAccess for TierGraph {
             TierGraph::Paged(_) => None,
         }
     }
+
+    #[inline]
+    fn is_out_of_core(&self) -> bool {
+        match self {
+            TierGraph::Ram(g) => g.is_out_of_core(),
+            TierGraph::Compact(g) => g.is_out_of_core(),
+            TierGraph::Paged(g) => g.is_out_of_core(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -151,6 +151,9 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
     fn seeds(&mut self, view: &P) -> Vec<NodeId> {
         self.ensure_candidates();
         let candidates = self.candidates.as_ref().expect("just initialised");
+        // A view that copies adjacency into RAM loads the candidates in one
+        // ascending sweep before the boundary test reads them.
+        self.graph.prefetch(candidates);
         // Filtering the sorted candidates against the live view keeps the
         // ascending order of the full scan and revalidates every membership.
         candidates

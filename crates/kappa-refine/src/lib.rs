@@ -17,6 +17,9 @@
 //! * a **scratch pool** ([`scratch`]): FM and band-BFS buffers are pooled
 //!   per worker and indexed by band position, so a pair search performs no
 //!   `O(n)` allocation;
+//! * a **band memo** (`memo.rs`): on out-of-core graphs a pair search copies
+//!   its band's adjacency into RAM once, in ascending node order, and runs
+//!   the BFS and FM on that copy instead of re-reading disk pages;
 //! * a **parallel greedy edge colouring** of the quotient graph ([`coloring`],
 //!   §5.1) whose colour classes are matchings of block pairs;
 //! * the **pairwise refinement scheduler** ([`scheduler`]) that walks the
@@ -68,6 +71,7 @@ pub mod fm;
 pub mod gain;
 pub mod gather;
 pub mod local;
+mod memo;
 pub mod queue_select;
 pub mod scheduler;
 pub mod scratch;

@@ -45,6 +45,7 @@ use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
 use crate::fm::{two_way_fm_in, FmConfig};
+use crate::memo::MemoGraph;
 use crate::queue_select::QueueSelection;
 use crate::scratch::{FmScratch, ScratchPool};
 
@@ -124,86 +125,100 @@ struct PairDelta {
     searches: usize,
 }
 
-/// Runs the local iterations of one pair `(a, b)` — band seeding + BFS,
-/// 2-way FM, pair-local block-weight tracking — against `target` and returns
-/// the pair's delta.
-///
-/// `target` is a [`DeltaPairView`] in the production scheduler and a snapshot
-/// clone in [`refine_partition_reference`]; `seeder` is an [`IndexSeeder`]
-/// over the shared [`BoundaryIndex`] in production and the full-scan
-/// reference otherwise. Sharing this body — and the seeders' identical
-/// outputs — is what keeps the two schedulers bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
-    graph: &G,
-    target: &mut P,
-    seeder: &mut S,
-    scratch: &mut FmScratch,
+/// One pair search's coordinates: the pair, its block weights at class
+/// start, the balance bound, and the global iteration and colour class that
+/// seed its FM searches.
+struct PairSearch<'c> {
     a: BlockId,
     b: BlockId,
-    mut w_a: NodeWeight,
-    mut w_b: NodeWeight,
+    w_a: NodeWeight,
+    w_b: NodeWeight,
     l_max: NodeWeight,
-    config: &RefinementConfig,
+    config: &'c RefinementConfig,
     global_iter: usize,
     color_idx: usize,
-) -> PairDelta {
-    let mut pair_gain_total = 0i64;
-    let mut all_moves = Vec::new();
-    let mut searches = 0usize;
-    for local_iter in 0..config.local_iterations {
-        let seeds = seeder.seeds(target);
-        if seeds.is_empty() {
-            break;
-        }
-        let band = band_around_boundary_in(
-            graph,
-            target,
-            &seeds,
-            (a, b),
-            config.bfs_depth,
-            scratch.bfs_dist(),
-        );
-        let fm_config = FmConfig {
-            queue_selection: config.queue_selection,
-            patience_alpha: config.patience_alpha,
-            l_max,
-            seed: crate::fm::pair_search_seed(
-                config.seed,
-                global_iter,
-                color_idx,
-                local_iter,
-                a,
-                b,
-            ),
-        };
-        let result = two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch);
-        searches += 1;
-        if result.moves.is_empty() {
-            break;
-        }
-        seeder.observe_moves(&result.moves);
-        // Update the pair's block weights for the next local iteration.
-        for &(v, to) in &result.moves {
-            let vw = graph.node_weight(v);
-            if to == a {
-                w_a += vw;
-                w_b -= vw;
-            } else {
-                w_b += vw;
-                w_a -= vw;
+}
+
+impl PairSearch<'_> {
+    /// Runs the local iterations of the pair — band seeding + BFS, 2-way
+    /// FM, pair-local block-weight tracking — against `target` and returns
+    /// the pair's delta.
+    ///
+    /// `target` is a [`DeltaPairView`] in the production scheduler and a
+    /// snapshot clone in [`refine_partition_reference`]; `seeder` is an
+    /// [`IndexSeeder`] over the shared [`BoundaryIndex`] in production and
+    /// the full-scan reference otherwise. Sharing this body — and the
+    /// seeders' identical outputs — is what keeps the two schedulers
+    /// bit-identical. `graph` is the level graph or, on out-of-core levels,
+    /// a `MemoGraph` over it; both read the same adjacency.
+    ///
+    /// [`BoundaryIndex`]: kappa_graph::BoundaryIndex
+    fn run<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
+        &self,
+        graph: &G,
+        target: &mut P,
+        seeder: &mut S,
+        scratch: &mut FmScratch,
+    ) -> PairDelta {
+        let (a, b, config) = (self.a, self.b, self.config);
+        let (mut w_a, mut w_b) = (self.w_a, self.w_b);
+        let mut pair_gain_total = 0i64;
+        let mut all_moves = Vec::new();
+        let mut searches = 0usize;
+        for local_iter in 0..config.local_iterations {
+            let seeds = seeder.seeds(target);
+            if seeds.is_empty() {
+                break;
+            }
+            let band = band_around_boundary_in(
+                graph,
+                target,
+                &seeds,
+                (a, b),
+                config.bfs_depth,
+                scratch.bfs_dist(),
+            );
+            let fm_config = FmConfig {
+                queue_selection: config.queue_selection,
+                patience_alpha: config.patience_alpha,
+                l_max: self.l_max,
+                seed: crate::fm::pair_search_seed(
+                    config.seed,
+                    self.global_iter,
+                    self.color_idx,
+                    local_iter,
+                    a,
+                    b,
+                ),
+            };
+            let result = two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch);
+            searches += 1;
+            if result.moves.is_empty() {
+                break;
+            }
+            seeder.observe_moves(&result.moves);
+            // Update the pair's block weights for the next local iteration.
+            for &(v, to) in &result.moves {
+                let vw = graph.node_weight(v);
+                if to == a {
+                    w_a += vw;
+                    w_b -= vw;
+                } else {
+                    w_b += vw;
+                    w_a -= vw;
+                }
+            }
+            pair_gain_total += result.gain;
+            all_moves.extend(result.moves);
+            if result.gain == 0 {
+                break;
             }
         }
-        pair_gain_total += result.gain;
-        all_moves.extend(result.moves);
-        if result.gain == 0 {
-            break;
+        PairDelta {
+            moves: all_moves,
+            gain: pair_gain_total,
+            searches,
         }
-    }
-    PairDelta {
-        moves: all_moves,
-        gain: pair_gain_total,
-        searches,
     }
 }
 
@@ -222,6 +237,10 @@ fn search_pair<G: GraphAccess, P: BlockAssignmentMut, S: BandSeeder<P>>(
 /// moves the same way, so nothing ever mutates the assignment behind the
 /// index's back. The FM searches draw their buffers from a [`ScratchPool`],
 /// so neither boundary extraction nor FM performs per-search `O(n)` work.
+/// On an out-of-core graph ([`GraphAccess::is_out_of_core`]) each pair
+/// search reads through a band memo (`memo.rs`), which copies the band's
+/// adjacency into RAM once, in ascending node order, so the BFS, the seeder
+/// and FM stop re-reading disk pages; resident graphs are read directly.
 /// The result is bit-identical to the snapshot-cloning, full-scanning
 /// [`refine_partition_reference`] for every thread count.
 ///
@@ -296,23 +315,30 @@ pub fn refine_partition<G: GraphAccess + Sync>(
             let deltas: Vec<PairDelta> = class
                 .par_iter()
                 .map(|&(a, b)| {
-                    let mut view = DeltaPairView::new(&shared);
-                    let mut seeder = IndexSeeder::new(graph, boundary, a, b);
-                    let mut scratch = scratch_pool.take();
-                    let delta = search_pair(
-                        graph,
-                        &mut view,
-                        &mut seeder,
-                        &mut scratch,
+                    let search = PairSearch {
                         a,
                         b,
-                        weights.weight(a),
-                        weights.weight(b),
+                        w_a: weights.weight(a),
+                        w_b: weights.weight(b),
                         l_max,
                         config,
                         global_iter,
                         color_idx,
-                    );
+                    };
+                    let mut view = DeltaPairView::new(&shared);
+                    let mut scratch = scratch_pool.take();
+                    let delta = if graph.is_out_of_core() {
+                        // Read each band node from storage once, in node
+                        // order, and search the in-RAM copy.
+                        let memo = MemoGraph::new(graph, std::mem::take(&mut scratch.memo));
+                        let mut seeder = IndexSeeder::new(&memo, boundary, a, b);
+                        let delta = search.run(&memo, &mut view, &mut seeder, &mut scratch);
+                        scratch.memo = memo.into_memo();
+                        delta
+                    } else {
+                        let mut seeder = IndexSeeder::new(graph, boundary, a, b);
+                        search.run(graph, &mut view, &mut seeder, &mut scratch)
+                    };
                     scratch_pool.put(scratch);
                     delta
                 })
@@ -420,23 +446,19 @@ pub fn refine_partition_reference<G: GraphAccess + Sync>(
             let results: Vec<PairDelta> = class
                 .par_iter()
                 .map(|&(a, b)| {
-                    let mut local = snapshot.clone();
-                    let mut seeder = FullScanSeeder::new(graph, a, b);
-                    let mut scratch = FmScratch::new();
-                    search_pair(
-                        graph,
-                        &mut local,
-                        &mut seeder,
-                        &mut scratch,
+                    let search = PairSearch {
                         a,
                         b,
-                        weights.weight(a),
-                        weights.weight(b),
+                        w_a: weights.weight(a),
+                        w_b: weights.weight(b),
                         l_max,
                         config,
                         global_iter,
                         color_idx,
-                    )
+                    };
+                    let mut local = snapshot.clone();
+                    let mut seeder = FullScanSeeder::new(graph, a, b);
+                    search.run(graph, &mut local, &mut seeder, &mut FmScratch::new())
                 })
                 .collect();
 
@@ -605,6 +627,46 @@ mod tests {
             assert_eq!(stats.nodes_moved, expected_stats.nodes_moved);
             assert_eq!(stats.global_iterations, expected_stats.global_iterations);
             state.verify_exact(&g).unwrap();
+        }
+    }
+
+    /// A paged graph is refined through the band memo, a CSR graph
+    /// directly; both must give the same assignment, cut and statistics,
+    /// even with a page cache far smaller than the edge file.
+    #[test]
+    fn paged_graph_refines_exactly_like_its_csr_source() {
+        use kappa_mem::{PageCacheConfig, PagedGraph};
+
+        let g = random_geometric_graph(3000, 13);
+        let start = greedy_graph_growing(&g, 8, 0.03, 2);
+        let mut path = std::env::temp_dir();
+        path.push(format!("kappa-refine-paged-{}.kpg", std::process::id()));
+        let cache = PageCacheConfig {
+            page_size: 4096,
+            cache_pages: 4,
+        };
+        let mut paged = PagedGraph::from_graph(&g, &path, cache).unwrap();
+        paged.set_delete_on_drop(true);
+        assert!(paged.is_out_of_core() && !g.is_out_of_core());
+        let config = RefinementConfig::default();
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut on_csr = PartitionState::build(&g, start.clone());
+            let csr_stats = pool.install(|| refine_partition(&g, &mut on_csr, &config));
+            let mut on_paged = PartitionState::build(&paged, start.clone());
+            let paged_stats = pool.install(|| refine_partition(&paged, &mut on_paged, &config));
+            assert!(csr_stats.pair_searches > 0);
+            assert_eq!(
+                on_paged.partition().assignment(),
+                on_csr.partition().assignment(),
+                "threads {threads}"
+            );
+            assert_eq!(on_paged.edge_cut(), on_csr.edge_cut(), "threads {threads}");
+            assert_eq!(paged_stats, csr_stats, "threads {threads}");
+            on_paged.verify_exact(&paged).unwrap();
         }
     }
 

@@ -7,7 +7,9 @@
 //! alive between searches: the two node-indexed arrays (`pos`, `dist`) are
 //! grown once to `n` and reset only at the `O(|band|)` entries a search
 //! touched; the remaining buffers are indexed by *band position* and merely
-//! cleared (capacity retained). [`ScratchPool`] hands the buffers out to the
+//! cleared (capacity retained). On out-of-core graphs the scratch also lends
+//! its band memo to the pair search, so the memo's node-indexed slot map is
+//! pooled the same way. [`ScratchPool`] hands the buffers out to the
 //! scheduler's concurrent pair workers, so a refinement call performs at most
 //! `min(#workers, #pairs)` full-size allocations no matter how many pair
 //! searches run.
@@ -15,6 +17,8 @@
 use std::sync::Mutex;
 
 use kappa_graph::{NodeId, INVALID_NODE};
+
+use crate::memo::BandMemo;
 
 /// Reusable buffers for one 2-way FM search plus its band BFS.
 ///
@@ -35,6 +39,9 @@ pub struct FmScratch {
     /// BFS distance scratch for the band extraction, node-indexed
     /// (`u32::MAX` = unseen); reset entry-by-entry by the BFS.
     pub(crate) dist: Vec<u32>,
+    /// Adjacency memo of one pair search on an out-of-core graph (see
+    /// `memo.rs`); lent to the search's `MemoGraph` and handed back cleared.
+    pub(crate) memo: BandMemo,
 }
 
 impl FmScratch {

@@ -437,7 +437,8 @@ fn tier_from_csr(
 /// The `--memory-tier compact|paged` pipeline: build the finest graph on the
 /// requested storage tier, partition with the tier-generic multilevel
 /// pipeline (sequential matching — bit-identical to `--threads 1` in RAM per
-/// seed), report which tier every hierarchy level ended up on.
+/// seed), report which tier every hierarchy level ended up on and, on the
+/// paged tier, the page-cache hits and misses of coarsening and refinement.
 fn run_tiered(cli: &CliArgs) -> ExitCode {
     use kappa::coarsen::SpillConfig;
     use kappa::core::{default_spill_dir, partition_tiered};
@@ -515,6 +516,13 @@ fn run_tiered(cli: &CliArgs) -> ExitCode {
         result.hierarchy_levels,
         tiered.level_tiers.join(", ")
     );
+    if cli.memory_tier == MemoryTier::Paged {
+        let (coarsening, refinement) = (tiered.cache_coarsening, tiered.cache_refinement);
+        eprintln!(
+            "page cache: coarsening {} hits / {} misses, refinement {} hits / {} misses",
+            coarsening.hits, coarsening.misses, refinement.hits, refinement.misses
+        );
+    }
     let status = write_partition(cli, &name, &result.partition);
     // Spill files delete themselves on drop; clear the (now empty) directory.
     let _ = std::fs::remove_dir_all(&spill.spill_dir);
