@@ -151,7 +151,6 @@ pub fn greedy_kway_refinement_indexed(
             state
                 .boundary()
                 .boundary_nodes_unordered()
-                .iter()
                 .map(|&v| Reverse(v)),
         );
         let mut last: Option<NodeId> = None;

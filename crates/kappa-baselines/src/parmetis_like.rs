@@ -5,13 +5,17 @@
 //! the 3 % balance constraint (its average balance in Tables 16/18/20 hovers
 //! around 1.047). This stand-in mimics those characteristics: parallel
 //! matching with the cheap weight rating, an aggressive coarsening stop, a
-//! single initial attempt, one refinement pass per level against a *relaxed*
-//! balance bound, and no final repair.
+//! single initial attempt, and one refinement pass per level against a
+//! *relaxed* balance bound `⌈(1 + ε + slack)·c(V)/k⌉`. A final rebalance
+//! against that same relaxed bound keeps the overshoot parMetis-like — up to
+//! the slack above ε — without letting a lumpy coarse level leave a block
+//! far beyond it.
 
 use kappa_coarsen::{CoarseningConfig, MatcherKind, MultilevelHierarchy};
-use kappa_graph::{CsrGraph, Partition, PartitionState};
+use kappa_graph::{CsrGraph, NodeWeight, Partition, PartitionState};
 use kappa_initial::{greedy_graph_growing, random_partition};
 use kappa_matching::{EdgeRating, MatchingAlgorithm};
+use kappa_refine::rebalance_state;
 
 use crate::kway_refine::greedy_kway_refinement_indexed;
 use crate::BaselinePartitioner;
@@ -72,9 +76,9 @@ impl BaselinePartitioner for ParMetisLike {
             random_partition(coarsest, k, seed)
         };
 
-        // Single cheap pass per level against the relaxed bound; no repair.
-        // The state is derived in full once at the coarsest level and its
-        // boundary index seeded through every projection below.
+        // Single cheap pass per level against the relaxed bound. The state is
+        // derived in full once at the coarsest level and its boundary index
+        // seeded through every projection below.
         let relaxed = epsilon + self.balance_slack;
         let mut state = PartitionState::build(coarsest, current);
         for level in (1..hierarchy.num_levels()).rev() {
@@ -83,6 +87,11 @@ impl BaselinePartitioner for ParMetisLike {
             let l_max = Partition::l_max(fine, k, relaxed);
             greedy_kway_refinement_indexed(fine, &mut state, l_max, 1);
         }
+        // The only repair: bring every block under the relaxed bound itself
+        // (without `L_max`'s node-weight allowance).
+        let avg = graph.total_node_weight() as f64 / k as f64;
+        let relaxed_bound = ((1.0 + relaxed) * avg).ceil() as NodeWeight;
+        rebalance_state(graph, &mut state, relaxed_bound);
         state.into_partition()
     }
 }

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kappa_coarsen::contract_matching;
-use kappa_gen::{grid2d, random_geometric_graph};
+use kappa_core::KappaConfig;
+use kappa_gen::{grid2d, random_geometric_graph, rmat_graph};
 use kappa_graph::{
     pair_boundary_nodes, BlockWeights, BoundaryIndex, Partition, PartitionState, QuotientGraph,
 };
@@ -153,6 +154,33 @@ fn bench_delta_vs_snapshot_scheduler(c: &mut Criterion) {
     }
 }
 
+/// The power-law case of the scheduler: on R-MAT the quotient is complete
+/// and most band nodes are pair-boundary, so each node's adjacency is read
+/// by up to `k − 1` pair searches per global iteration. The fast preset's
+/// refinement settings on one thread, so the figure is per-core work.
+fn bench_refinement_rmat(c: &mut Criterion) {
+    let graph = rmat_graph(13, 8, 4);
+    let config = KappaConfig::fast(16).with_seed(4).refinement_config();
+    let partition = greedy_graph_growing(&graph, 16, config.epsilon, 4);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let mut group = c.benchmark_group("refinement_rmat13_k16");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("delta"),
+        &partition,
+        |b, start| {
+            b.iter(|| {
+                let mut state = PartitionState::build(&graph, start.clone());
+                pool.install(|| refine_partition(&graph, &mut state, &config))
+            });
+        },
+    );
+    group.finish();
+}
+
 /// Headline of the boundary-index PR: extracting a pair boundary of FIXED
 /// size (a 64-wide grid split across the middle row — always 128 boundary
 /// nodes) as the graph grows 16× taller. The full scan grows linearly with
@@ -285,6 +313,7 @@ criterion_group!(
     bench_edge_coloring,
     bench_full_refinement_sweep,
     bench_delta_vs_snapshot_scheduler,
+    bench_refinement_rmat,
     bench_boundary_extraction_scaling,
     bench_fm_scratch_reuse,
     bench_projected_seed_vs_full_build

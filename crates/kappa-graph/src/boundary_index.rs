@@ -12,10 +12,14 @@
 //! [`BoundaryIndex`] maintains, for every node, the number of neighbours it
 //! has in each adjacent block (a sorted run-length list, at most `deg(v)`
 //! entries) plus the count of *foreign* neighbours, and from that a membership
-//! set of all current boundary nodes. A single node move is absorbed in
-//! `O(deg(v) · log maxdeg)` by [`BoundaryIndex::apply_move`]; extracting the
-//! boundary of a block pair costs `O(|boundary| + |pair boundary| · log)` via
-//! [`BoundaryIndex::pair_boundary_sorted`] — independent of `n` and `m`.
+//! set of all current boundary nodes, grouped by block. A single node move is
+//! absorbed in `O(deg(v) · log maxdeg)` by [`BoundaryIndex::apply_move`];
+//! extracting the boundary of a block pair `{a, b}` reads only the boundary
+//! nodes of `a` and `b` — `O(|∂a| + |∂b|)` plus the sort of the result — via
+//! [`BoundaryIndex::pair_boundary_sorted`], independent of `n`, `m` and the
+//! other blocks' boundaries. On a power-law graph the boundary is nearly
+//! every node and the quotient is complete, so a filter over the whole
+//! boundary per pair would read it `k − 1` times per global iteration.
 //!
 //! The index stores its own copy of the node → block map so that it is
 //! self-contained: consistency with a partition only requires replaying the
@@ -96,16 +100,19 @@ pub struct BoundaryIndex {
     foreign: Vec<u32>,
     /// Membership bitmap of the boundary set.
     in_boundary: Vec<bool>,
-    /// Position of each boundary node inside `list` (`INVALID_NODE` if absent).
+    /// Position of each boundary node inside its block's list in `lists`
+    /// (`INVALID_NODE` if absent).
     pos: Vec<NodeId>,
-    /// The boundary set in unspecified order (swap-remove on leave).
-    list: Vec<NodeId>,
+    /// The boundary set grouped by block: `lists[b]` holds the boundary
+    /// nodes of block `b` in unspecified order (swap-remove on leave). The
+    /// extra last list takes nodes of an out-of-range (unassigned) block.
+    lists: Vec<Vec<NodeId>>,
 }
 
 /// Structural equality mirrors what the old derived implementation compared
 /// on the nested-`Vec` layout: assignment, **live** neighbour counts per
-/// node, foreign degrees, and the boundary membership list including its
-/// internal order. Dead arena slots are ignored.
+/// node, foreign degrees, and the per-block boundary membership lists
+/// including their internal order. Dead arena slots are ignored.
 impl PartialEq for BoundaryIndex {
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
@@ -113,7 +120,7 @@ impl PartialEq for BoundaryIndex {
             && self.foreign == other.foreign
             && self.in_boundary == other.in_boundary
             && self.pos == other.pos
-            && self.list == other.list
+            && self.lists == other.lists
             && self.block.len() == other.block.len()
             && (0..self.block.len() as NodeId).all(|v| self.node_counts(v) == other.node_counts(v))
     }
@@ -171,7 +178,7 @@ impl BoundaryIndex {
             foreign: vec![0; n],
             in_boundary: vec![false; n],
             pos: vec![INVALID_NODE; n],
-            list: Vec::new(),
+            lists: vec![Vec::new(); partition.k() as usize + 1],
         };
         let mut scratch: Vec<BlockId> = Vec::new();
         for v in GraphAccess::nodes(graph) {
@@ -232,9 +239,9 @@ impl BoundaryIndex {
     /// Semantic equality: same assignment, neighbour counts, foreign degrees
     /// and boundary *set*, ignoring the internal order of the membership list
     /// (a maintained index accumulates swap-remove order, a fresh build is
-    /// ascending — no consumer observes the difference). The derived
-    /// `PartialEq` is stricter and additionally compares that order; freshly
-    /// built indices (full or seeded) agree under it.
+    /// ascending — no consumer observes the difference). `PartialEq` is
+    /// stricter and additionally compares that order; freshly built indices
+    /// (full or seeded) agree under it.
     pub fn equivalent(&self, other: &Self) -> bool {
         self.k == other.k
             && self.block == other.block
@@ -274,40 +281,46 @@ impl BoundaryIndex {
     }
 
     /// Number of boundary nodes.
-    #[inline]
     pub fn boundary_len(&self) -> usize {
-        self.list.len()
+        self.lists.iter().map(Vec::len).sum()
     }
 
-    /// The boundary set in unspecified (membership) order — `O(1)` access to
-    /// the live list, for callers that sort or filter themselves.
+    /// The boundary set in unspecified (membership) order — the live
+    /// per-block lists one after the other, for callers that sort or filter
+    /// themselves.
+    pub fn boundary_nodes_unordered(&self) -> impl Iterator<Item = &NodeId> + '_ {
+        self.lists.iter().flatten()
+    }
+
+    /// The boundary nodes of block `b` in unspecified (membership) order —
+    /// `O(1)` access to the live list.
     #[inline]
-    pub fn boundary_nodes_unordered(&self) -> &[NodeId] {
-        &self.list
+    pub fn block_boundary(&self, b: BlockId) -> &[NodeId] {
+        &self.lists[self.list_of(b)]
     }
 
     /// The boundary set sorted by node id — same output as a fresh
     /// [`boundary_nodes`](crate::boundary::boundary_nodes) scan, in
     /// `O(|boundary| log |boundary|)`.
     pub fn boundary_nodes_sorted(&self) -> Vec<NodeId> {
-        let mut nodes = self.list.clone();
+        let mut nodes: Vec<NodeId> = self.boundary_nodes_unordered().copied().collect();
         nodes.sort_unstable();
         nodes
     }
 
     /// The boundary of the pair `{a, b}` sorted by node id — same output as a
     /// fresh [`pair_boundary_nodes`](crate::boundary::pair_boundary_nodes)
-    /// scan, in `O(|boundary|)` plus the sort of the (smaller) result.
+    /// scan, in `O(|∂a| + |∂b|)` plus the sort of the (smaller) result: only
+    /// the boundary lists of the two blocks are read.
     pub fn pair_boundary_sorted(&self, a: BlockId, b: BlockId) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .list
-            .iter()
-            .copied()
-            .filter(|&v| {
-                let bv = self.block[v as usize];
-                (bv == a && self.count(v, b) > 0) || (bv == b && self.count(v, a) > 0)
-            })
-            .collect();
+        let facing = |own: BlockId, other: BlockId| {
+            self.block_boundary(own)
+                .iter()
+                .copied()
+                .filter(move |&v| self.count(v, other) > 0)
+        };
+        debug_assert_ne!(a, b, "a pair needs two blocks");
+        let mut nodes: Vec<NodeId> = facing(a, b).chain(facing(b, a)).collect();
         nodes.sort_unstable();
         nodes
     }
@@ -325,6 +338,11 @@ impl BoundaryIndex {
             return;
         }
         debug_assert!(to < self.k, "move of node {v} to out-of-range block {to}");
+        // `v`'s membership is filed under its block: leave `from`'s list
+        // now, re-enter under `to` below.
+        if self.in_boundary[v as usize] {
+            self.leave_boundary(v);
+        }
         self.block[v as usize] = to;
 
         graph.for_each_edge(v, |u, _w| {
@@ -474,18 +492,27 @@ impl BoundaryIndex {
         }
     }
 
+    /// The index into `lists` of block `b`'s boundary list.
+    #[inline]
+    fn list_of(&self, b: BlockId) -> usize {
+        (b as usize).min(self.k as usize)
+    }
+
     fn enter_boundary(&mut self, v: NodeId) {
         self.in_boundary[v as usize] = true;
-        self.pos[v as usize] = self.list.len() as NodeId;
-        self.list.push(v);
+        let list = self.list_of(self.block[v as usize]);
+        self.pos[v as usize] = self.lists[list].len() as NodeId;
+        self.lists[list].push(v);
     }
 
     fn leave_boundary(&mut self, v: NodeId) {
         self.in_boundary[v as usize] = false;
         let p = self.pos[v as usize] as usize;
         self.pos[v as usize] = INVALID_NODE;
-        let last = *self.list.last().expect("leave from empty boundary list");
-        self.list.swap_remove(p);
+        let list = self.list_of(self.block[v as usize]);
+        let list = &mut self.lists[list];
+        let last = *list.last().expect("leave from empty boundary list");
+        list.swap_remove(p);
         if last != v {
             self.pos[last as usize] = p as NodeId;
         }
@@ -507,6 +534,13 @@ mod tests {
             "boundary set diverged"
         );
         for a in 0..partition.k() {
+            let mut of_a = index.block_boundary(a).to_vec();
+            of_a.sort_unstable();
+            let scanned: Vec<NodeId> = boundary_nodes(graph, partition)
+                .into_iter()
+                .filter(|&v| partition.block_of(v) == a)
+                .collect();
+            assert_eq!(of_a, scanned, "block {a} boundary diverged");
             for b in 0..partition.k() {
                 if a == b {
                     continue;

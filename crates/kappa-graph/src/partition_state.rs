@@ -264,10 +264,12 @@ impl PartitionState {
     /// endpoint visits every cut edge exactly once. Bit-identical to
     /// [`QuotientGraph::build`] (proptested in `tests/parity.rs`): the per-pair
     /// sums are order-independent and both constructors sort the edge list.
+    /// The boundary is scanned in ascending node order, so a paged graph
+    /// reads its pages in one sweep.
     pub fn quotient<G: GraphAccess>(&self, graph: &G) -> QuotientGraph {
         let mut cut_weights: std::collections::HashMap<(BlockId, BlockId), EdgeWeight> =
             std::collections::HashMap::new();
-        for &v in self.boundary.boundary_nodes_unordered() {
+        for v in self.boundary.boundary_nodes_sorted() {
             let bv = self.partition.block_of(v);
             for (u, w) in graph.edges_of(v) {
                 // Count each cut edge once, at its smaller endpoint (the

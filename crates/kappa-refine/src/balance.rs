@@ -183,7 +183,8 @@ pub fn rebalance<G: GraphAccess>(graph: &G, partition: &mut Partition, l_max: No
 }
 
 /// [`rebalance`] through a [`PartitionState`]: candidates come from the
-/// boundary index (`O(|boundary|)` per move instead of `O(n)`) and every move
+/// boundary index's list for the overloaded block (`O(|∂ block|)` per move
+/// instead of `O(n)`) and every move
 /// goes through [`PartitionState::apply_move`], keeping the index, weights
 /// and cached cut exact. Bit-identical to [`rebalance`] — the candidate sets
 /// coincide (interior nodes never produce candidates) and both take the
@@ -201,10 +202,7 @@ pub fn rebalance_state<G: GraphAccess>(
             break;
         };
         let mut best: Option<Candidate> = None;
-        for &v in state.boundary().boundary_nodes_unordered() {
-            if state.partition().block_of(v) != over_block {
-                continue;
-            }
+        for &v in state.boundary().block_boundary(over_block) {
             if let Some((delta, tw, to)) = best_move_of(
                 graph,
                 state.partition(),

@@ -16,20 +16,35 @@
 //!
 //! * [`FullScanSeeder`] is the retained reference — a fresh full scan every
 //!   time, exactly the historical behaviour;
-//! * [`IndexSeeder`] draws the initial seeds from the boundary index (built
-//!   per global iteration, `O(|boundary|)` per extraction) and then tracks
-//!   the worker's own FM moves: only nodes that were pair-boundary at class
-//!   start, were moved, or neighbour a moved node can ever be pair-boundary
-//!   during the worker's local iterations, so re-seeding re-examines just
-//!   this candidate set — never the whole graph.
+//! * [`IndexSeeder`] draws the initial seeds from the boundary index
+//!   (`O(|∂a| + |∂b|)` per extraction, returned without re-testing, since
+//!   at class start the index and the view agree on the pair) and then
+//!   tracks the worker's own FM moves: only nodes that were pair-boundary
+//!   at class start, were moved, or neighbour a moved node can ever be
+//!   pair-boundary during the worker's local iterations, so re-seeding
+//!   re-examines just this candidate set — never the whole graph.
 //!
 //! Both seeders return the pair boundary in ascending node order, so band
 //! seeds and everything downstream are bit-identical (`tests/parity.rs`).
+//!
+//! ## Sweeping the band
+//!
+//! The scheduler grows its band with `sweep_band` rather than
+//! [`band_around_boundary_in`](kappa_graph::band_around_boundary_in): the
+//! same layer-synchronous BFS, visit order and per-layer
+//! [`prefetch`](GraphAccess::prefetch), but while it scans an expanded
+//! node's adjacency it also sums that node's pair gain. Because the seeds
+//! are exactly the pair boundary, the band's seed prefix is also FM's
+//! queue-initialisation set, so a pair search reads each expanded band
+//! node's adjacency once instead of three times (BFS, gain, boundary test).
 
 use kappa_graph::{
     band_around_boundary, pair_boundary_nodes, BlockAssignment, BlockId, BoundaryIndex,
-    GraphAccess, NodeId,
+    GraphAccess, NodeId, INVALID_NODE,
 };
+
+use crate::fm::UNKNOWN_GAIN;
+use crate::scratch::FmScratch;
 
 /// Computes the band of eligible nodes for refining the pair `(a, b)`:
 /// a BFS of depth `depth` from the pair boundary, restricted to the two blocks.
@@ -49,6 +64,112 @@ pub fn pair_band<G: GraphAccess, A: BlockAssignment>(
         return Vec::new();
     }
     band_around_boundary(graph, partition, &seeds, (a, b), depth)
+}
+
+/// True if `v` is in block `a` or `b` and has a neighbour in the other one:
+/// a node of the pair boundary.
+pub(crate) fn on_pair_boundary<G: GraphAccess, P: BlockAssignment>(
+    graph: &G,
+    view: &P,
+    v: NodeId,
+    a: BlockId,
+    b: BlockId,
+) -> bool {
+    let bv = view.block_of(v);
+    let other = if bv == a {
+        b
+    } else if bv == b {
+        a
+    } else {
+        return false;
+    };
+    graph.edges_of(v).any(|(u, _)| view.block_of(u) == other)
+}
+
+/// Grows the band of the pair `(a, b)` around `seeds` into
+/// `scratch.band` and returns how many of its nodes are seeds (they come
+/// first, in seed order).
+///
+/// The BFS is [`band_around_boundary_in`](kappa_graph::band_around_boundary_in)'s
+/// — layer-synchronous, restricted to the two blocks, each layer handed to
+/// [`GraphAccess::prefetch`] once — so the band and its order are the same.
+/// Instead of BFS distances it fills the search's own scratch:
+/// `scratch.pos` maps every band node to its band position (FM's "in the
+/// band" map), and `scratch.gains` holds, by band position, the pair gain
+/// of every expanded node, summed from the adjacency scan the BFS performs
+/// anyway. The seeds must be exactly the pair boundary (the [`BandSeeder`]
+/// contract, checked on every expanded node in debug builds), so that the
+/// seed prefix is FM's queue-initialisation set. Nodes of the last layer
+/// are never expanded; their gains stay [`UNKNOWN_GAIN`] for FM to compute
+/// on first use. The caller resets `scratch.pos` at the band's entries when
+/// the search ends.
+pub(crate) fn sweep_band<G: GraphAccess, A: BlockAssignment>(
+    graph: &G,
+    partition: &A,
+    seeds: &[NodeId],
+    (a, b): (BlockId, BlockId),
+    depth: usize,
+    scratch: &mut FmScratch,
+) -> usize {
+    scratch.prepare(graph.num_nodes(), 0);
+    let FmScratch {
+        pos, gains, band, ..
+    } = scratch;
+    band.clear();
+    for &s in seeds {
+        let bs = partition.block_of(s);
+        if (bs == a || bs == b) && pos[s as usize] == INVALID_NODE {
+            pos[s as usize] = band.len() as NodeId;
+            band.push(s);
+        }
+    }
+    let seeded = band.len();
+    gains.resize(seeded, UNKNOWN_GAIN);
+    // `band[layer_start..]` is the layer at distance `d`; expanding it
+    // appends the next one.
+    let mut layer_start = 0;
+    let mut d = 0usize;
+    while layer_start < band.len() {
+        let layer_end = band.len();
+        graph.prefetch(&band[layer_start..layer_end]);
+        if d >= depth {
+            break;
+        }
+        for i in layer_start..layer_end {
+            let v = band[i];
+            let own = partition.block_of(v);
+            let other = if own == a { b } else { a };
+            let mut gain = 0i64;
+            let mut faces_other = false;
+            graph.for_each_edge(v, |u, w| {
+                let bu = partition.block_of(u);
+                if bu == other {
+                    gain += w as i64;
+                    faces_other = true;
+                } else if bu == own {
+                    gain -= w as i64;
+                } else {
+                    return;
+                }
+                if pos[u as usize] == INVALID_NODE {
+                    pos[u as usize] = band.len() as NodeId;
+                    band.push(u);
+                    gains.push(UNKNOWN_GAIN);
+                }
+            });
+            // The seeds are exactly the pair boundary, so the seed prefix
+            // is FM's queue-initialisation set.
+            debug_assert_eq!(
+                faces_other,
+                i < seeded,
+                "band node {v} breaks the seeder contract"
+            );
+            gains[i] = gain;
+        }
+        layer_start = layer_end;
+        d += 1;
+    }
+    seeded
 }
 
 /// Source of band seeds (the pair boundary) for the local iterations of one
@@ -97,9 +218,11 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for FullScanSeeder<'_, G>
 /// only this worker's own moves can change membership of blocks `a`/`b` (the
 /// concurrent pairs of a colour class are block-disjoint), so the true pair
 /// boundary is always a subset of: the index's pair boundary at class start,
-/// plus moved nodes, plus neighbours of moved nodes. `seeds` re-examines this
-/// candidate set against the live view — `O(Σ deg(candidate))`, independent
-/// of `n` — and `observe_moves` grows it.
+/// plus moved nodes, plus neighbours of moved nodes. The first `seeds` call
+/// returns the index's pair boundary as is — at class start the view and
+/// the index agree on blocks `a` and `b` — and later calls re-examine the
+/// candidate set against the live view — `O(Σ deg(candidate))`,
+/// independent of `n` — which `observe_moves` grows.
 pub struct IndexSeeder<'a, G> {
     graph: &'a G,
     index: &'a BoundaryIndex,
@@ -108,6 +231,9 @@ pub struct IndexSeeder<'a, G> {
     /// Sorted, deduplicated candidate superset of the pair boundary;
     /// `None` until the first `seeds` call draws it from the index.
     candidates: Option<Vec<NodeId>>,
+    /// True once `observe_moves` has grown the candidates past the index's
+    /// pair boundary, so they must be re-tested against the view.
+    moved: bool,
 }
 
 impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
@@ -120,22 +246,8 @@ impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
             a,
             b,
             candidates: None,
+            moved: false,
         }
-    }
-
-    /// True if `v` is on the pair boundary in the live `view`.
-    fn is_pair_boundary<P: BlockAssignment>(&self, view: &P, v: NodeId) -> bool {
-        let bv = view.block_of(v);
-        let other = if bv == self.a {
-            self.b
-        } else if bv == self.b {
-            self.a
-        } else {
-            return false;
-        };
-        self.graph
-            .edges_of(v)
-            .any(|(u, _)| view.block_of(u) == other)
     }
 
     /// Draws the initial candidate set from the index on first use.
@@ -150,16 +262,29 @@ impl<'a, G: GraphAccess> IndexSeeder<'a, G> {
 impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
     fn seeds(&mut self, view: &P) -> Vec<NodeId> {
         self.ensure_candidates();
+        let (graph, a, b) = (self.graph, self.a, self.b);
         let candidates = self.candidates.as_ref().expect("just initialised");
+        if !self.moved {
+            // No move yet: the view still agrees with the index on blocks
+            // `a` and `b`, so the index's pair boundary needs no re-test.
+            debug_assert!(
+                (0..graph.num_nodes() as NodeId).all(|v| {
+                    let (in_view, in_index) = (view.block_of(v), self.index.block_of(v));
+                    (in_view == a) == (in_index == a) && (in_view == b) == (in_index == b)
+                }),
+                "view and index disagree on the pair ({a}, {b}) at class start"
+            );
+            return candidates.clone();
+        }
         // A view that copies adjacency into RAM loads the candidates in one
         // ascending sweep before the boundary test reads them.
-        self.graph.prefetch(candidates);
+        graph.prefetch(candidates);
         // Filtering the sorted candidates against the live view keeps the
         // ascending order of the full scan and revalidates every membership.
         candidates
             .iter()
             .copied()
-            .filter(|&v| self.is_pair_boundary(view, v))
+            .filter(|&v| on_pair_boundary(graph, view, v, a, b))
             .collect()
     }
 
@@ -167,6 +292,7 @@ impl<G: GraphAccess, P: BlockAssignment> BandSeeder<P> for IndexSeeder<'_, G> {
         if moves.is_empty() {
             return;
         }
+        self.moved = true;
         self.ensure_candidates();
         let candidates = self.candidates.as_mut().expect("just initialised");
         let mut extra: Vec<NodeId> = Vec::with_capacity(moves.len());

@@ -15,6 +15,27 @@
 //! block sizes; since the search can only ever move *band* nodes, this
 //! implementation deliberately evaluates the bound over the band-restricted
 //! node counts of the two sides (see [`patience_bound`] for the rationale).
+//!
+//! ## Initialisation
+//!
+//! A search starts from two things per band node: its gain, and whether it
+//! is on the pair boundary (the queue seeds). Two initialisations feed one
+//! move loop:
+//!
+//! * **from the band sweep** (the refinement scheduler): the band BFS
+//!   (`band::sweep_band`) sums each expanded node's gain while it scans
+//!   that node's adjacency for the BFS, and the band's seed prefix is
+//!   exactly the pair boundary, so FM reads no adjacency to start.
+//!   Last-layer nodes are never expanded; their gains are computed the
+//!   first time the move loop needs them (a seed at band depth 0, or the
+//!   neighbour of a moved node). That is exact, because only the search's
+//!   own moves change membership of the two blocks.
+//! * **by scan** ([`two_way_fm_in`]): one gain scan and one boundary scan
+//!   of every band node. It accepts any node set, so it serves the callers
+//!   whose band is not a sweep of the whole pair boundary — the localized
+//!   re-refinement (seeds are only a region's boundary) and the gathered
+//!   bands (clipped follow-up bands) — and it is the oracle the sweep is
+//!   checked against (`refine_partition_reference`).
 
 use std::collections::BinaryHeap;
 
@@ -24,9 +45,15 @@ use kappa_graph::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::band::{on_pair_boundary, sweep_band};
 use crate::gain::pair_gain;
 use crate::queue_select::QueueSelection;
 use crate::scratch::FmScratch;
+
+/// Gain slot of a band node whose gain is not computed yet: a last-layer
+/// node of a band sweep, which the sweep reaches but never expands. The
+/// move loop computes such a gain on first use.
+pub(crate) const UNKNOWN_GAIN: i64 = i64::MIN;
 
 /// The adaptive stopping bound of one 2-way FM search: the search aborts
 /// after this many consecutive moves without improvement.
@@ -199,9 +226,9 @@ impl LazyQueue {
 /// share one read-only base partition instead of cloning it.
 ///
 /// This convenience wrapper allocates a fresh [`FmScratch`] per call; hot
-/// paths (the refinement scheduler) use [`two_way_fm_in`] with a pooled
-/// scratch instead, which performs no per-call `O(n)` allocation. Both are
-/// bit-identical.
+/// paths use [`two_way_fm_in`] (or, in the refinement scheduler, the swept
+/// search) with a pooled scratch instead, which performs no per-call `O(n)`
+/// allocation. All are bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
@@ -235,6 +262,13 @@ pub fn two_way_fm<G: GraphAccess, P: BlockAssignmentMut>(
 /// the touched entries before returning, so a reused scratch makes the whole
 /// search allocate `O(|band|)` instead of `O(n)`. `eligible` must not contain
 /// duplicates (bands never do).
+///
+/// This is the scan-initialised search: it reads every band node's
+/// adjacency once for its gain and once more to find the pair-boundary
+/// nodes that seed the queues, so it accepts any node set. The refinement
+/// scheduler instead builds its band and initial gains in one sweep (see
+/// [`refine_partition`](crate::refine_partition)); both feed the same move
+/// loop, and this path stays the oracle the sweep is checked against.
 #[allow(clippy::too_many_arguments)]
 pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     graph: &G,
@@ -247,16 +281,11 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     config: &FmConfig,
     scratch: &mut FmScratch,
 ) -> FmResult {
-    let mut result = FmResult::default();
     if eligible.is_empty() {
-        return result;
+        return FmResult::default();
     }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
     scratch.prepare(graph.num_nodes(), eligible.len());
-    let FmScratch {
-        pos, gains, moved, ..
-    } = scratch;
+    let FmScratch { pos, gains, .. } = &mut *scratch;
     for (i, &v) in eligible.iter().enumerate() {
         debug_assert!(
             partition.block_of(v) == block_a || partition.block_of(v) == block_b,
@@ -269,41 +298,125 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
     for (i, &v) in eligible.iter().enumerate() {
         gains[i] = pair_gain(graph, partition, v, block_a, block_b);
     }
+    // The queues start with the boundary nodes of the band.
+    let init: Vec<NodeId> = eligible
+        .iter()
+        .copied()
+        .filter(|&v| on_pair_boundary(graph, &*partition, v, block_a, block_b))
+        .collect();
+    fm_moves(
+        graph,
+        partition,
+        (block_a, block_b),
+        eligible,
+        init,
+        (weight_a, weight_b),
+        config,
+        scratch,
+    )
+}
+
+/// The swept search of the refinement scheduler: grows the band around
+/// `seeds` (the pair boundary, ascending) with
+/// [`sweep_band`](crate::band::sweep_band), which reads each expanded node's
+/// adjacency once for both the BFS and its gain, and runs the move loop
+/// with the band's seed prefix as the queue-initialisation set.
+///
+/// Bit-identical to [`band_around_boundary_in`] followed by
+/// [`two_way_fm_in`]: the band and its order are the same, the seeds are
+/// exactly the band's pair-boundary nodes (the seeder contract), and a
+/// last-layer node's gain, left unknown by the sweep, is computed from the
+/// live view the first time the move loop needs it — exact, because only
+/// this search's own moves change membership of the two blocks.
+///
+/// [`band_around_boundary_in`]: kappa_graph::band_around_boundary_in
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn two_way_fm_swept<G: GraphAccess, P: BlockAssignmentMut>(
+    graph: &G,
+    partition: &mut P,
+    (block_a, block_b): (BlockId, BlockId),
+    seeds: &[NodeId],
+    depth: usize,
+    weights: (NodeWeight, NodeWeight),
+    config: &FmConfig,
+    scratch: &mut FmScratch,
+) -> FmResult {
+    let seeded = sweep_band(
+        graph,
+        &*partition,
+        seeds,
+        (block_a, block_b),
+        depth,
+        scratch,
+    );
+    let band = std::mem::take(&mut scratch.band);
+    let result = fm_moves(
+        graph,
+        partition,
+        (block_a, block_b),
+        &band,
+        band[..seeded].to_vec(),
+        weights,
+        config,
+        scratch,
+    );
+    scratch.band = band;
+    result
+}
+
+/// The FM move loop shared by both initialisations: queue set-up from
+/// `init` in random order, moves, and rollback to the best prefix.
+///
+/// On entry `scratch.pos` maps every node of `band` to its position and
+/// `scratch.gains` holds each band node's gain or [`UNKNOWN_GAIN`]; `pos`
+/// is reset before returning.
+#[allow(clippy::too_many_arguments)]
+fn fm_moves<G: GraphAccess, P: BlockAssignmentMut>(
+    graph: &G,
+    partition: &mut P,
+    (block_a, block_b): (BlockId, BlockId),
+    band: &[NodeId],
+    mut init: Vec<NodeId>,
+    (weight_a, weight_b): (NodeWeight, NodeWeight),
+    config: &FmConfig,
+    scratch: &mut FmScratch,
+) -> FmResult {
+    let mut result = FmResult::default();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let FmScratch {
+        pos, gains, moved, ..
+    } = scratch;
+    moved.clear();
+    moved.resize(band.len(), false);
 
     let mut queue_a = LazyQueue::new();
     let mut queue_b = LazyQueue::new();
 
     // Initialise with boundary nodes of the band, in random order.
-    let mut init: Vec<NodeId> = eligible
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let own = partition.block_of(v);
-            let other = if own == block_a { block_b } else { block_a };
-            graph
-                .edges_of(v)
-                .any(|(u, _)| partition.block_of(u) == other)
-        })
-        .collect();
     // Fisher-Yates via rand.
     for i in (1..init.len()).rev() {
         init.swap(i, rng.gen_range(0..=i));
     }
     for &v in &init {
+        let p = pos[v as usize] as usize;
+        if gains[p] == UNKNOWN_GAIN {
+            // A seed the sweep did not expand (band depth 0).
+            gains[p] = pair_gain(graph, &*partition, v, block_a, block_b);
+        }
         if partition.block_of(v) == block_a {
-            queue_a.push(v, gains[pos[v as usize] as usize], &mut rng);
+            queue_a.push(v, gains[p], &mut rng);
         } else {
-            queue_b.push(v, gains[pos[v as usize] as usize], &mut rng);
+            queue_b.push(v, gains[p], &mut rng);
         }
     }
 
     // Band-restricted node counts of the two sides for the patience bound
     // (see `patience_bound` for why these, not the full block sizes).
-    let count_a = eligible
+    let count_a = band
         .iter()
         .filter(|&&v| partition.block_of(v) == block_a)
         .count();
-    let count_b = eligible.len() - count_a;
+    let count_b = band.len() - count_a;
     let patience = patience_bound(config.patience_alpha, count_a, count_b);
 
     let mut w_a = weight_a;
@@ -393,18 +506,24 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
             if bu != block_a && bu != block_b {
                 continue;
             }
-            let delta = if bu == from {
-                2 * w as i64
+            let pu = pu as usize;
+            if gains[pu] == UNKNOWN_GAIN {
+                // First use of a last-layer gain: the view already holds
+                // `v`'s move, so the fresh gain includes its delta.
+                gains[pu] = pair_gain(graph, &*partition, u, block_a, block_b);
             } else {
-                -2 * w as i64
-            };
-            gains[pu as usize] += delta;
+                gains[pu] += if bu == from {
+                    2 * w as i64
+                } else {
+                    -2 * w as i64
+                };
+            }
             let q = if bu == block_a {
                 &mut queue_a
             } else {
                 &mut queue_b
             };
-            q.push(u, gains[pu as usize], &mut rng);
+            q.push(u, gains[pu], &mut rng);
         }
 
         // Track the lexicographically best (imbalance, cut) prefix.
@@ -431,7 +550,7 @@ pub fn two_way_fm_in<G: GraphAccess, P: BlockAssignmentMut>(
 
     // Reset the node-indexed scratch at the touched entries only, restoring
     // the reuse contract.
-    for &v in eligible {
+    for &v in band {
         pos[v as usize] = INVALID_NODE;
     }
     result

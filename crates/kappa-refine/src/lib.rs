@@ -13,7 +13,16 @@
 //!   seeds come from an incremental
 //!   [`BoundaryIndex`](kappa_graph::BoundaryIndex) via [`IndexSeeder`]
 //!   (the full-scan [`FullScanSeeder`] is the retained reference), so seed
-//!   extraction costs `O(|boundary|)`, not `O(n + m)`;
+//!   extraction costs `O(|∂a| + |∂b|)` — the boundaries of the pair's two
+//!   blocks — not `O(n + m)`, and the first extraction of a pair search is
+//!   not re-tested;
+//! * **one adjacency sweep per band**: the scheduler's band BFS also sums
+//!   the pair gain of every node it expands, and its seed prefix — the pair
+//!   boundary — is FM's queue-initialisation set, so a pair search reads each
+//!   expanded band node's adjacency once; last-layer gains are computed
+//!   lazily by FM. The scan-initialised [`two_way_fm_in`] stays for callers
+//!   whose band is not a sweep of the whole pair boundary ([`local`],
+//!   [`gather`]) and as the reference the sweep is checked against;
 //! * a **scratch pool** ([`scratch`]): FM and band-BFS buffers are pooled
 //!   per worker and indexed by band position, so a pair search performs no
 //!   `O(n)` allocation;

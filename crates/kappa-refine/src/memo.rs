@@ -13,8 +13,9 @@
 //! adjacency of the given nodes into RAM in ascending node order — a sorted
 //! sweep misses each page at most once — and every later read of a memoised
 //! node is served from that copy; nodes not in the memo fall through to the
-//! graph. The band BFS prefetches each layer, and the [`IndexSeeder`]
-//! prefetches its candidates, so one pair search reads each band node's
+//! graph. The band BFS prefetches each layer (its first layer is the seeds),
+//! and the [`IndexSeeder`] prefetches its candidates before re-testing them
+//! in later local iterations, so one pair search reads each band node's
 //! adjacency from storage once, across all its local iterations.
 //!
 //! The scheduler uses the view only when the graph reports

@@ -44,7 +44,7 @@ use crate::balance::{rebalance, rebalance_state};
 use crate::band::{BandSeeder, FullScanSeeder, IndexSeeder};
 use crate::coloring::color_quotient_edges;
 use crate::delta::{DeltaPairView, SharedAssignment};
-use crate::fm::{two_way_fm_in, FmConfig};
+use crate::fm::{two_way_fm_in, two_way_fm_swept, FmConfig};
 use crate::memo::MemoGraph;
 use crate::queue_select::QueueSelection;
 use crate::scratch::{FmScratch, ScratchPool};
@@ -126,8 +126,8 @@ struct PairDelta {
 }
 
 /// One pair search's coordinates: the pair, its block weights at class
-/// start, the balance bound, and the global iteration and colour class that
-/// seed its FM searches.
+/// start, the balance bound, the global iteration and colour class that
+/// seed its FM searches, and how it builds its band.
 struct PairSearch<'c> {
     a: BlockId,
     b: BlockId,
@@ -137,6 +137,11 @@ struct PairSearch<'c> {
     config: &'c RefinementConfig,
     global_iter: usize,
     color_idx: usize,
+    /// True in the production scheduler: the band comes from one
+    /// gain-accumulating sweep (`two_way_fm_swept`). False in the
+    /// reference: [`band_around_boundary_in`] plus the scan-initialised
+    /// [`two_way_fm_in`], the oracle the sweep is checked against.
+    sweep: bool,
 }
 
 impl PairSearch<'_> {
@@ -170,14 +175,6 @@ impl PairSearch<'_> {
             if seeds.is_empty() {
                 break;
             }
-            let band = band_around_boundary_in(
-                graph,
-                target,
-                &seeds,
-                (a, b),
-                config.bfs_depth,
-                scratch.bfs_dist(),
-            );
             let fm_config = FmConfig {
                 queue_selection: config.queue_selection,
                 patience_alpha: config.patience_alpha,
@@ -191,7 +188,28 @@ impl PairSearch<'_> {
                     b,
                 ),
             };
-            let result = two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch);
+            let result = if self.sweep {
+                two_way_fm_swept(
+                    graph,
+                    target,
+                    (a, b),
+                    &seeds,
+                    config.bfs_depth,
+                    (w_a, w_b),
+                    &fm_config,
+                    scratch,
+                )
+            } else {
+                let band = band_around_boundary_in(
+                    graph,
+                    target,
+                    &seeds,
+                    (a, b),
+                    config.bfs_depth,
+                    scratch.bfs_dist(),
+                );
+                two_way_fm_in(graph, target, a, b, &band, w_a, w_b, &fm_config, scratch)
+            };
             searches += 1;
             if result.moves.is_empty() {
                 break;
@@ -237,6 +255,9 @@ impl PairSearch<'_> {
 /// moves the same way, so nothing ever mutates the assignment behind the
 /// index's back. The FM searches draw their buffers from a [`ScratchPool`],
 /// so neither boundary extraction nor FM performs per-search `O(n)` work.
+/// Each pair search reads its band's adjacency once: the band BFS also sums
+/// the gain of every node it expands, and its seed prefix is FM's
+/// queue-initialisation set (see [`crate::fm`]).
 /// On an out-of-core graph ([`GraphAccess::is_out_of_core`]) each pair
 /// search reads through a band memo (`memo.rs`), which copies the band's
 /// adjacency into RAM once, in ascending node order, so the BFS, the seeder
@@ -324,6 +345,7 @@ pub fn refine_partition<G: GraphAccess + Sync>(
                         config,
                         global_iter,
                         color_idx,
+                        sweep: true,
                     };
                     let mut view = DeltaPairView::new(&shared);
                     let mut scratch = scratch_pool.take();
@@ -407,8 +429,9 @@ pub fn refine_partition_in_place<G: GraphAccess + Sync>(
 
 /// The snapshot-cloning, full-scanning reference scheduler: clones the
 /// partition once per colour class and once more per pair, and re-derives
-/// every band seed with an `O(n + m)` [`FullScanSeeder`] scan, exactly as
-/// earlier revisions did.
+/// every band seed with an `O(n + m)` [`FullScanSeeder`] scan; each band
+/// comes from [`band_around_boundary_in`] and each FM search initialises
+/// itself by scanning the band ([`two_way_fm_in`]).
 ///
 /// Kept as the ground truth [`refine_partition`] is checked against (parity
 /// tests, benches). Use [`refine_partition`] everywhere else.
@@ -455,6 +478,7 @@ pub fn refine_partition_reference<G: GraphAccess + Sync>(
                         config,
                         global_iter,
                         color_idx,
+                        sweep: false,
                     };
                     let mut local = snapshot.clone();
                     let mut seeder = FullScanSeeder::new(graph, a, b);
@@ -600,33 +624,46 @@ mod tests {
         }
     }
 
+    /// The production scheduler (shared mirror, boundary index, band sweep)
+    /// against the snapshot-cloning, full-scanning, scan-initialised
+    /// reference: on a geometric graph, and on an R-MAT graph whose quotient
+    /// is complete and whose seeds are most of each band.
     #[test]
     fn delta_scheduler_matches_snapshot_reference_for_every_thread_count() {
-        let g = random_geometric_graph(3000, 13);
-        let start = random_partition(&g, 16, 21);
-        let config = RefinementConfig {
-            max_global_iterations: 4,
-            ..Default::default()
-        };
-        let mut expected = start.clone();
-        let expected_stats = refine_partition_reference(&g, &mut expected, &config);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut state = PartitionState::build(&g, start.clone());
-            let stats = pool.install(|| refine_partition(&g, &mut state, &config));
-            assert_eq!(
-                state.partition().assignment(),
-                expected.assignment(),
-                "threads {threads}"
-            );
-            assert_eq!(stats.total_gain, expected_stats.total_gain);
-            assert_eq!(stats.pair_searches, expected_stats.pair_searches);
-            assert_eq!(stats.nodes_moved, expected_stats.nodes_moved);
-            assert_eq!(stats.global_iterations, expected_stats.global_iterations);
-            state.verify_exact(&g).unwrap();
+        let inputs = [
+            ("rgg", random_geometric_graph(3000, 13)),
+            ("rmat", kappa_gen::rmat::rmat_graph(11, 8, 5)),
+        ];
+        for (name, g) in &inputs {
+            let start = random_partition(g, 16, 21);
+            let config = RefinementConfig {
+                max_global_iterations: 4,
+                ..Default::default()
+            };
+            let mut expected = start.clone();
+            let expected_stats = refine_partition_reference(g, &mut expected, &config);
+            assert!(expected_stats.pair_searches > 0, "{name}");
+            for threads in [1usize, 2, 4, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut state = PartitionState::build(g, start.clone());
+                let stats = pool.install(|| refine_partition(g, &mut state, &config));
+                assert_eq!(
+                    state.partition().assignment(),
+                    expected.assignment(),
+                    "{name}, threads {threads}"
+                );
+                assert_eq!(stats.total_gain, expected_stats.total_gain, "{name}");
+                assert_eq!(stats.pair_searches, expected_stats.pair_searches, "{name}");
+                assert_eq!(stats.nodes_moved, expected_stats.nodes_moved, "{name}");
+                assert_eq!(
+                    stats.global_iterations, expected_stats.global_iterations,
+                    "{name}"
+                );
+                state.verify_exact(g).unwrap();
+            }
         }
     }
 

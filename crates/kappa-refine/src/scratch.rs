@@ -39,6 +39,9 @@ pub struct FmScratch {
     /// BFS distance scratch for the band extraction, node-indexed
     /// (`u32::MAX` = unseen); reset entry-by-entry by the BFS.
     pub(crate) dist: Vec<u32>,
+    /// The band of the current swept search in BFS order (see
+    /// `band::sweep_band`), kept for its capacity.
+    pub(crate) band: Vec<NodeId>,
     /// Adjacency memo of one pair search on an out-of-core graph (see
     /// `memo.rs`); lent to the search's `MemoGraph` and handed back cleared.
     pub(crate) memo: BandMemo,
