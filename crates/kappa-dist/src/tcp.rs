@@ -620,9 +620,14 @@ impl Comm for TcpComm {
 
 impl Drop for TcpComm {
     /// Graceful drain: announce `::bye` on every connection so peers see a
-    /// clean shutdown (not a mid-frame cut), close both halves, and join the
-    /// reader threads (which exit promptly on bye, EOF or the local
-    /// shutdown).
+    /// clean shutdown (not a mid-frame cut), half-close the write side, and
+    /// join the reader threads, which exit on the peer's own bye or EOF.
+    ///
+    /// The read side stays open on purpose: a peer may still have frames in
+    /// flight (sends nobody will receive, or its own bye). Closing the read
+    /// half makes the kernel answer those bytes with a reset, which fails the
+    /// peer's pending writes with a broken pipe. Keeping it open lets the
+    /// reader drain them until the peer says bye.
     fn drop(&mut self) {
         for (to, link) in self.links.iter().enumerate() {
             if let Link::Remote(stream) = link {
@@ -631,7 +636,7 @@ impl Drop for TcpComm {
                 if let Ok(bye) = encode_frame(self.rank as u32, self.send_seqs[to], BYE_TAG, &[]) {
                     let _ = write_all(stream, &bye);
                 }
-                let _ = stream.shutdown(Shutdown::Both);
+                let _ = stream.shutdown(Shutdown::Write);
             }
         }
         for handle in self.readers.drain(..) {

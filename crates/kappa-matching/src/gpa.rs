@@ -8,8 +8,31 @@
 //! alternating sub-matchings. GPA keeps the ½-approximation guarantee of
 //! Greedy but is empirically considerably better — which is why the paper
 //! adopts it as the default matcher.
+//!
+//! # Data flow
+//!
+//! GPA keeps two small records per node, so neither phase reads the edge
+//! list at random:
+//!
+//! * **Phase 1** scans the sorted edges once and reads only the 8-byte
+//!   `PathEnd` of both endpoints: a node that ends a path knows the path's
+//!   other end and length, so "is the edge applicable?", "same path?" and
+//!   "would this close an odd cycle?" are O(1) lookups, with no union-find.
+//!   A selected edge is written to both endpoints' `Links` as
+//!   `(other endpoint, rating)`, slot 0 first.
+//! * **Phase 2** walks each path or cycle from node to node, leaving every
+//!   node by the slot it was not entered through, with a node-level `done`
+//!   flag and DP buffers reused across components.
+//!
+//! # Walk orientation
+//!
+//! The DP breaks ties (`take >= skip`, and for cycles "without the last edge"
+//! over "without the first" when the sums are equal, each sum added in
+//! picked order), so the direction of a walk is part of the result. A path is
+//! walked from its smaller-id end. A cycle is walked from its smallest node,
+//! leaving by slot 0, i.e. along the edge selected first there.
 
-use kappa_graph::{GraphAccess, NodeId};
+use kappa_graph::{GraphAccess, NodeId, INVALID_NODE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -27,207 +50,221 @@ pub fn gpa_matching<G: GraphAccess>(graph: &G, rating: EdgeRating, seed: u64) ->
     gpa_on_edges(graph.num_nodes(), &edges)
 }
 
-/// Union-find over nodes tracking, per component, the number of selected edges.
-/// Used to detect whether an applicable edge would close an odd cycle.
-struct PathForest {
-    parent: Vec<NodeId>,
-    /// Number of selected edges in the component rooted here.
-    edge_count: Vec<u32>,
+/// Phase 1's view of a node: where its path ends.
+#[derive(Clone, Copy)]
+struct PathEnd {
+    /// The node itself while it is isolated, the other end of its path while
+    /// it has one selected edge, `INVALID_NODE` once it has two.
+    end: NodeId,
+    /// Number of edges on the path, valid while the node is a path end.
+    len: u32,
 }
 
-impl PathForest {
-    fn new(n: usize) -> Self {
-        PathForest {
-            parent: (0..n as NodeId).collect(),
-            edge_count: vec![0; n],
-        }
-    }
+/// The selected edges at a node: the other endpoints, in selection order
+/// (`INVALID_NODE` marks an empty slot), and their ratings, slot for slot.
+#[derive(Clone, Copy)]
+struct Links {
+    mate: [NodeId; 2],
+    rating: [f64; 2],
+}
 
-    fn find(&mut self, v: NodeId) -> NodeId {
-        let mut root = v;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        // Path compression.
-        let mut cur = v;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    fn union(&mut self, a: NodeId, b: NodeId) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra as usize] = rb;
-            self.edge_count[rb as usize] += self.edge_count[ra as usize] + 1;
-        } else {
-            self.edge_count[rb as usize] += 1;
-        }
+impl Links {
+    fn degree(&self) -> usize {
+        usize::from(self.mate[0] != INVALID_NODE) + usize::from(self.mate[1] != INVALID_NODE)
     }
 }
 
 /// GPA over an explicit pre-sorted (descending) edge list.
 pub fn gpa_on_edges(num_nodes: usize, edges_sorted_desc: &[RatedEdge]) -> Matching {
-    // Phase 1: grow paths and even cycles.
-    // selected[v] holds up to two incident selected edge indices.
-    let mut degree = vec![0u8; num_nodes];
-    let mut incident: Vec<[usize; 2]> = vec![[usize::MAX; 2]; num_nodes];
-    let mut forest = PathForest::new(num_nodes);
-    let mut selected: Vec<bool> = vec![false; edges_sorted_desc.len()];
+    let mut ends: Vec<PathEnd> = (0..num_nodes as NodeId)
+        .map(|v| PathEnd { end: v, len: 0 })
+        .collect();
+    let mut links = vec![
+        Links {
+            mate: [INVALID_NODE; 2],
+            rating: [0.0; 2],
+        };
+        num_nodes
+    ];
 
-    for (idx, e) in edges_sorted_desc.iter().enumerate() {
+    // Phase 1: grow paths and even cycles. An edge is applicable when both
+    // endpoints have fewer than two selected edges, i.e. both end a path
+    // (or are isolated). They end the same path exactly when one is the
+    // other's `end`; closing that path is allowed only if the cycle it makes
+    // is even, since an odd cycle has no two alternating matchings.
+    for e in edges_sorted_desc {
         let (u, v) = (e.u, e.v);
-        if u == v || degree[u as usize] >= 2 || degree[v as usize] >= 2 {
+        if u == v {
             continue;
         }
-        let (ru, rv) = (forest.find(u), forest.find(v));
-        if ru == rv {
-            // Same path: adding the edge closes a cycle. Only even cycles are
-            // allowed (odd cycles cannot be decomposed into two alternating
-            // matchings).
-            let len = forest.edge_count[rv as usize];
-            if len % 2 == 0 {
-                continue; // would close an odd cycle (len edges + 1 is odd)
+        let (at_u, at_v) = (ends[u as usize], ends[v as usize]);
+        if at_u.end == INVALID_NODE || at_v.end == INVALID_NODE {
+            continue;
+        }
+        if at_u.end == v {
+            if at_u.len % 2 == 0 {
+                continue; // at_u.len + 1 edges: an odd cycle
+            }
+            ends[u as usize].end = INVALID_NODE;
+            ends[v as usize].end = INVALID_NODE;
+        } else {
+            // Join two paths: their far ends now end one path, and an
+            // endpoint that already had an edge becomes inner.
+            let len = at_u.len + at_v.len + 1;
+            ends[at_u.end as usize] = PathEnd { end: at_v.end, len };
+            ends[at_v.end as usize] = PathEnd { end: at_u.end, len };
+            if at_u.end != u {
+                ends[u as usize].end = INVALID_NODE;
+            }
+            if at_v.end != v {
+                ends[v as usize].end = INVALID_NODE;
             }
         }
-        selected[idx] = true;
-        forest.union(u, v);
-        for &w in &[u, v] {
-            let slot = if incident[w as usize][0] == usize::MAX {
-                0
-            } else {
-                1
-            };
-            incident[w as usize][slot] = idx;
-            degree[w as usize] += 1;
-        }
+        // A node with one edge so far fills slot 1.
+        let slot_u = usize::from(at_u.end != u);
+        let slot_v = usize::from(at_v.end != v);
+        links[u as usize].mate[slot_u] = v;
+        links[u as usize].rating[slot_u] = e.rating;
+        links[v as usize].mate[slot_v] = u;
+        links[v as usize].rating[slot_v] = e.rating;
     }
 
-    // Phase 2: decompose the selected structure into paths/cycles and solve
-    // each optimally by DP.
+    // Phase 2: walk every path from its smaller end, then every cycle from
+    // its smallest node leaving by slot 0 (the walk direction decides the
+    // DP's ties, so it is part of the result), and solve each by DP.
     let mut matching = Matching::new(num_nodes);
-    let mut edge_used = vec![false; edges_sorted_desc.len()];
-
-    // Walk from every endpoint (degree 1) first to enumerate paths, then sweep
-    // the remaining structure (cycles).
-    let visit_from = |start: NodeId, matching: &mut Matching, edge_used: &mut Vec<bool>| {
-        // Collect the chain of edge indices starting at `start`.
-        let mut chain: Vec<usize> = Vec::new();
-        let mut cur = start;
-        loop {
-            let mut next_edge = usize::MAX;
-            for &ei in &incident[cur as usize] {
-                if ei != usize::MAX && !edge_used[ei] {
-                    next_edge = ei;
-                    break;
-                }
-            }
-            if next_edge == usize::MAX {
-                break;
-            }
-            edge_used[next_edge] = true;
-            chain.push(next_edge);
-            let e = &edges_sorted_desc[next_edge];
-            cur = if e.u == cur { e.v } else { e.u };
-        }
-        if chain.is_empty() {
-            return;
-        }
-        apply_best_alternating(&chain, edges_sorted_desc, matching);
-    };
-
-    for v in 0..num_nodes as NodeId {
-        if degree[v as usize] == 1 {
-            visit_from(v, &mut matching, &mut edge_used);
-        }
-    }
-    // Remaining components are cycles: pick any node with an unused edge.
-    for v in 0..num_nodes as NodeId {
-        if degree[v as usize] == 2 {
-            let has_unused = incident[v as usize]
-                .iter()
-                .any(|&ei| ei != usize::MAX && !edge_used[ei]);
-            if has_unused {
-                visit_from(v, &mut matching, &mut edge_used);
+    let mut done = vec![false; num_nodes];
+    let mut walk = Walk::default();
+    for wanted_degree in [1, 2] {
+        for v in 0..num_nodes {
+            if !done[v] && links[v].degree() == wanted_degree {
+                walk.collect(&links, v as NodeId, &mut done);
+                walk.apply_best_alternating(&mut matching);
             }
         }
     }
     matching
 }
 
-/// Given a chain of edge indices forming a path or cycle (in traversal order),
-/// chooses the maximum-rating alternating subset and applies it to `matching`.
-///
-/// For a path the optimal matching is found by a linear DP; for a cycle we run
-/// the path DP twice (once excluding the first edge, once excluding the last)
-/// and keep the better result — the standard reduction.
-fn apply_best_alternating(chain: &[usize], edges: &[RatedEdge], matching: &mut Matching) {
-    let is_cycle = {
-        // A chain is a cycle iff the first and last edge share an endpoint and
-        // the chain has at least 3 edges (the traversal returns to the start).
-        if chain.len() < 3 {
-            false
-        } else {
-            let first = &edges[chain[0]];
-            let last = &edges[*chain.last().unwrap()];
-            first.u == last.u || first.u == last.v || first.v == last.u || first.v == last.v
-        }
-    };
+/// One path or cycle of GPA's structure plus reusable DP buffers.
+#[derive(Default)]
+struct Walk {
+    /// Nodes in walk order; a cycle repeats its first node at the end.
+    nodes: Vec<NodeId>,
+    /// `ratings[i]` rates the edge `{nodes[i], nodes[i + 1]}`.
+    ratings: Vec<f64>,
+    take: Vec<f64>,
+    skip: Vec<f64>,
+    picked: Vec<usize>,
+    picked_alt: Vec<usize>,
+}
 
-    let pick = if is_cycle {
-        let without_last = best_path_subset(&chain[..chain.len() - 1], edges);
-        let without_first = best_path_subset(&chain[1..], edges);
-        if subset_value(&without_last, edges) >= subset_value(&without_first, edges) {
-            without_last
-        } else {
-            without_first
+impl Walk {
+    /// Walks the component of `start` node by node, leaving every node by
+    /// the slot it was not entered through, and marks its nodes done.
+    fn collect(&mut self, links: &[Links], start: NodeId, done: &mut [bool]) {
+        self.nodes.clear();
+        self.ratings.clear();
+        self.nodes.push(start);
+        done[start as usize] = true;
+        let (mut cur, mut slot) = (start, 0);
+        loop {
+            let next = links[cur as usize].mate[slot];
+            if next == INVALID_NODE {
+                break; // the far end of a path
+            }
+            self.ratings.push(links[cur as usize].rating[slot]);
+            self.nodes.push(next);
+            if done[next as usize] {
+                break; // back at the start of a cycle
+            }
+            done[next as usize] = true;
+            // In a two-edge cycle both slots of `next` lead back; both ends
+            // store the two edges in the same slot order, so arriving by
+            // slot 0 and leaving by slot 1 keeps the edge order.
+            slot = usize::from(links[next as usize].mate[0] == cur);
+            cur = next;
         }
-    } else {
-        best_path_subset(chain, edges)
-    };
+    }
 
-    for idx in pick {
-        let e = &edges[idx];
-        matching.try_match(e.u, e.v);
+    /// Chooses the maximum-rating alternating subset of the walked edges and
+    /// adds it to `matching`. A path takes the plain DP; a cycle of three or
+    /// more edges runs it without its last and without its first edge and
+    /// keeps the better (ties: without the last).
+    fn apply_best_alternating(&mut self, matching: &mut Matching) {
+        let k = self.ratings.len();
+        let is_cycle = k >= 3 && self.nodes[0] == self.nodes[k];
+        let mut offset = 0;
+        if is_cycle {
+            best_path_subset(
+                &self.ratings[..k - 1],
+                &mut self.take,
+                &mut self.skip,
+                &mut self.picked,
+            );
+            best_path_subset(
+                &self.ratings[1..],
+                &mut self.take,
+                &mut self.skip,
+                &mut self.picked_alt,
+            );
+            let without_last: f64 = self.picked.iter().map(|&i| self.ratings[i]).sum();
+            let without_first: f64 = self.picked_alt.iter().map(|&i| self.ratings[i + 1]).sum();
+            let keep_without_last = without_last >= without_first;
+            if !keep_without_last {
+                std::mem::swap(&mut self.picked, &mut self.picked_alt);
+                offset = 1;
+            }
+        } else {
+            best_path_subset(
+                &self.ratings,
+                &mut self.take,
+                &mut self.skip,
+                &mut self.picked,
+            );
+        }
+        for &i in &self.picked {
+            matching.try_match(self.nodes[i + offset], self.nodes[i + offset + 1]);
+        }
     }
 }
 
-/// Maximum-rating independent subset of consecutive chain edges (no two
-/// adjacent edges of the chain may both be picked) — the classic
-/// "maximum weight independent set on a path" DP.
-fn best_path_subset(chain: &[usize], edges: &[RatedEdge]) -> Vec<usize> {
-    let k = chain.len();
+/// Maximum-rating subset of a chain of edges with no two consecutive edges
+/// picked — the classic "maximum weight independent set on a path" DP.
+/// Fills `picked` with chain indices in backtrack (descending) order.
+fn best_path_subset(
+    ratings: &[f64],
+    take: &mut Vec<f64>,
+    skip: &mut Vec<f64>,
+    picked: &mut Vec<usize>,
+) {
+    picked.clear();
+    let k = ratings.len();
     if k == 0 {
-        return Vec::new();
+        return;
     }
-    // take[i] = best value of chain[..=i] taking edge i; skip[i] = not taking it.
-    let mut take = vec![0.0f64; k];
-    let mut skip = vec![0.0f64; k];
-    take[0] = edges[chain[0]].rating;
+    // take[i] = best value of the chain's first i + 1 edges taking edge i;
+    // skip[i] = not taking it.
+    take.clear();
+    take.resize(k, 0.0);
+    skip.clear();
+    skip.resize(k, 0.0);
+    take[0] = ratings[0];
     for i in 1..k {
-        take[i] = skip[i - 1] + edges[chain[i]].rating;
+        take[i] = skip[i - 1] + ratings[i];
         skip[i] = take[i - 1].max(skip[i - 1]);
     }
     // Backtrack: at index i, an optimal prefix solution either takes edge i
     // (then continues at i - 2) or skips it (continues at i - 1).
-    let mut picked = Vec::new();
     let mut i = k as isize - 1;
     while i >= 0 {
         if take[i as usize] >= skip[i as usize] {
-            picked.push(chain[i as usize]);
+            picked.push(i as usize);
             i -= 2;
         } else {
             i -= 1;
         }
     }
-    picked
-}
-
-fn subset_value(subset: &[usize], edges: &[RatedEdge]) -> f64 {
-    subset.iter().map(|&i| edges[i].rating).sum()
 }
 
 #[cfg(test)]

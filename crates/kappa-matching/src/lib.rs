@@ -40,6 +40,11 @@ pub mod parallel;
 pub mod rating;
 pub mod shem;
 
+#[cfg(test)]
+mod parity;
+#[cfg(test)]
+mod reference;
+
 pub use gpa::gpa_matching;
 pub use greedy::greedy_matching;
 pub use matching::Matching;

@@ -20,6 +20,12 @@ impl Matching {
         }
     }
 
+    /// The matching given by a symmetric partner array (`INVALID_NODE` =
+    /// unmatched); the caller guarantees `partner[partner[v]] == v`.
+    pub(crate) fn from_partners(partner: Vec<NodeId>) -> Self {
+        Matching { partner }
+    }
+
     /// Number of nodes this matching is defined over.
     #[inline]
     pub fn num_nodes(&self) -> usize {

@@ -6,18 +6,43 @@
 //! partition only affects locality, never the final result quality directly).
 //! Each part is matched *locally and in parallel* with a sequential algorithm
 //! restricted to intra-part edges. Then the *gap graph* — cross-part edges
-//! `{u, v}` whose rating exceeds the rating of the edges matched to `u` and `v`
-//! locally — is matched by iterated locally-heaviest-edge pointing: an edge is
-//! matched when it is the most attractive remaining gap edge at *both*
-//! endpoints, which is exactly the paper's criterion and needs no global
-//! coordination.
+//! between nodes the local phase left unmatched — is matched by iterated
+//! locally-heaviest-edge pointing: an edge is matched when it is the most
+//! attractive remaining gap edge at *both* endpoints, which is exactly the
+//! paper's criterion and needs no global coordination.
+//!
+//! # Data flow
+//!
+//! 1. The nodes are grouped by part and numbered `0..n_i` inside their part,
+//!    in ascending global order. The numbering is monotone, so a part's GPA
+//!    or Greedy visits nodes and breaks ties exactly as it would on global
+//!    ids, while its arrays have the part's size, not the graph's.
+//! 2. Every part, in parallel, rates each edge `{u, v}` (`u < v`) of its
+//!    nodes once, straight into its local list (both ends in the part, local
+//!    ids) or its cross list (global ids). No list of all edges is built.
+//! 3. A part shuffles its local list with a seed of its own, sorts it stably
+//!    by descending rating and matches it.
+//! 4. The part matchings are node-disjoint, so their partners are written
+//!    straight into one partner array.
+//! 5. The cross edges between two unmatched nodes, back in CSR order (the
+//!    order the locally-heaviest tie-break follows), form the gap graph.
+//!
+//! # Why the gap filter is only the unmatched test
+//!
+//! The paper keeps a cross edge if it is rated above the edges its endpoints
+//! were matched along locally. Locally matched nodes stay matched, so only
+//! edges between two unmatched nodes can join the matching, and an unmatched
+//! node's matched rating is −∞. Every rating is finite (ω ≥ 0 and c ≥ 1, and
+//! innerOuter caps at `f64::MAX / 4`), so it always beats −∞: on the edges
+//! the unmatched test keeps, the rating test rejects nothing, and it is not
+//! computed.
 
-use kappa_graph::{CsrGraph, NodeId};
+use kappa_graph::{CsrGraph, EdgeWeight, NodeId, NodeWeight, INVALID_NODE};
 use rayon::prelude::*;
 
 use crate::greedy::sort_by_rating_desc;
 use crate::matching::Matching;
-use crate::rating::{rated_edges, EdgeRating, RatedEdge};
+use crate::rating::{rate_edge, EdgeRating, RatedEdge};
 use crate::{compute_matching, MatchingAlgorithm};
 
 /// Configuration of the parallel matcher.
@@ -75,67 +100,154 @@ pub fn parallel_matching(
             &owned_parts
         }
     };
+    let groups = PartGroups::new(graph, part, p);
+    let out: Vec<EdgeWeight> = if config.rating == EdgeRating::InnerOuter {
+        graph.nodes().map(|v| graph.weighted_degree(v)).collect()
+    } else {
+        Vec::new()
+    };
 
-    // Rate every edge once; split into intra-part lists and the cross-part list.
-    let all_edges = rated_edges(graph, config.rating);
-    let mut local_edges: Vec<Vec<RatedEdge>> = vec![Vec::new(); p];
-    let mut cross_edges: Vec<RatedEdge> = Vec::new();
-    for e in all_edges {
-        let (pu, pv) = (part[e.u as usize], part[e.v as usize]);
-        if pu == pv {
-            local_edges[pu].push(e);
-        } else {
-            cross_edges.push(e);
-        }
-    }
-
-    // Local phase: match every part independently and in parallel.
-    let local_matchings: Vec<Matching> = local_edges
+    // Local phase: every part rates its own edges and matches them, in
+    // parallel.
+    let per_part: Vec<(Matching, Vec<RatedEdge>)> = (0..p)
         .into_par_iter()
-        .enumerate()
-        .map(|(i, mut edges)| {
+        .map(|i| {
+            let (mut local, cross) = rate_part(graph, &groups, i, config.rating, &out);
             // Deterministic per-part seeds.
             let seed = config
                 .seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add(i as u64);
-            shuffle_edges(&mut edges, seed);
-            sort_by_rating_desc(&mut edges);
-            match config.local_algorithm {
-                MatchingAlgorithm::Gpa => crate::gpa::gpa_on_edges(n, &edges),
+            shuffle_edges(&mut local, seed);
+            sort_by_rating_desc(&mut local);
+            let part_nodes = groups.nodes(i).len();
+            let matching = match config.local_algorithm {
+                MatchingAlgorithm::Gpa => crate::gpa::gpa_on_edges(part_nodes, &local),
                 MatchingAlgorithm::Greedy | MatchingAlgorithm::Shem => {
                     // SHEM needs full adjacency, which a per-part edge list does
                     // not give cheaply; Greedy over the part's edges is the
                     // natural restriction and keeps the ½-approximation.
-                    crate::greedy::greedy_on_edges(n, &edges)
+                    crate::greedy::greedy_on_edges(part_nodes, &local)
                 }
-            }
+            };
+            (matching, cross)
         })
         .collect();
 
     // Merge: parts are node-disjoint, so no conflicts are possible.
-    let mut matching = Matching::new(n);
-    for m in &local_matchings {
-        matching.absorb(m);
+    let mut partner = vec![INVALID_NODE; n];
+    for (i, (local, _)) in per_part.iter().enumerate() {
+        let nodes = groups.nodes(i);
+        for (x, &v) in nodes.iter().enumerate() {
+            if let Some(y) = local.partner_of(x as NodeId) {
+                partner[v as usize] = nodes[y as usize];
+            }
+        }
     }
+    let mut matching = Matching::from_partners(partner);
 
-    // Gap graph: cross-part edges more attractive than what their endpoints got
-    // locally.
-    let matched_rating: Vec<f64> = compute_matched_ratings(graph, &matching, config.rating);
-    let mut gap: Vec<RatedEdge> = cross_edges
+    // Gap graph: cross edges between nodes left unmatched locally (see the
+    // module docs for why no rating test is needed). Each part listed its
+    // cross edges in CSR order of their smaller end, so a stable sort on that
+    // end restores the global CSR order.
+    let mut gap: Vec<RatedEdge> = per_part
         .into_iter()
-        .filter(|e| {
-            e.rating > matched_rating[e.u as usize] && e.rating > matched_rating[e.v as usize]
-        })
+        .flat_map(|(_, cross)| cross)
+        .filter(|e| !matching.is_matched(e.u) && !matching.is_matched(e.v))
         .collect();
-
-    // Free the endpoints of gap edges that dominate their local match? No —
-    // the paper only matches *unmatched* gap endpoints; locally matched nodes
-    // stay matched. Keep only gap edges between unmatched nodes.
-    gap.retain(|e| !matching.is_matched(e.u) && !matching.is_matched(e.v));
+    gap.sort_by_key(|e| e.u);
 
     locally_heaviest_matching(&mut matching, gap);
     matching
+}
+
+/// The nodes grouped by part: part `i` holds `order[start[i]..start[i + 1]]`
+/// in ascending order, and `slot[v]` says where `v` lives.
+struct PartGroups {
+    order: Vec<NodeId>,
+    start: Vec<usize>,
+    slot: Vec<NodeSlot>,
+}
+
+/// What rating an edge needs to know about its far end, packed so that
+/// each neighbour costs one random read.
+#[derive(Clone, Copy, Default)]
+struct NodeSlot {
+    part: u32,
+    /// Position within the part.
+    local: NodeId,
+    weight: NodeWeight,
+}
+
+impl PartGroups {
+    fn new(graph: &CsrGraph, part: &[usize], num_parts: usize) -> Self {
+        let mut start = vec![0usize; num_parts + 1];
+        for &q in part {
+            start[q + 1] += 1;
+        }
+        for i in 0..num_parts {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0; part.len()];
+        let mut slot = vec![NodeSlot::default(); part.len()];
+        for (v, &q) in part.iter().enumerate() {
+            order[next[q]] = v as NodeId;
+            slot[v] = NodeSlot {
+                part: q as u32,
+                local: (next[q] - start[q]) as NodeId,
+                weight: graph.node_weight(v as NodeId),
+            };
+            next[q] += 1;
+        }
+        PartGroups { order, start, slot }
+    }
+
+    fn nodes(&self, i: usize) -> &[NodeId] {
+        &self.order[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Rates every edge `{u, v}` with `u < v` and `u` in part `i` once, in CSR
+/// order: into the local list (local ids) if `v` is in part `i` too, into the
+/// cross list (global ids) otherwise. `out` holds the weighted degrees when
+/// the rating is innerOuter.
+fn rate_part(
+    graph: &CsrGraph,
+    groups: &PartGroups,
+    i: usize,
+    rating: EdgeRating,
+    out: &[EdgeWeight],
+) -> (Vec<RatedEdge>, Vec<RatedEdge>) {
+    let nodes = groups.nodes(i);
+    let half_edges: usize = nodes.iter().map(|&u| graph.degree(u)).sum();
+    let mut local = Vec::with_capacity(half_edges / 2);
+    let mut cross = Vec::new();
+    for &u in nodes {
+        let at_u = groups.slot[u as usize];
+        for (v, w) in graph.edges_of(u) {
+            if u >= v {
+                continue;
+            }
+            let at_v = groups.slot[v as usize];
+            let (out_u, out_v) = if rating == EdgeRating::InnerOuter {
+                (out[u as usize], out[v as usize])
+            } else {
+                (0, 0)
+            };
+            let r = rate_edge(rating, w, at_u.weight, at_v.weight, out_u, out_v);
+            if at_v.part == at_u.part {
+                local.push(RatedEdge {
+                    u: at_u.local,
+                    v: at_v.local,
+                    rating: r,
+                });
+            } else {
+                cross.push(RatedEdge { u, v, rating: r });
+            }
+        }
+    }
+    (local, cross)
 }
 
 /// Iterated locally-heaviest-edge matching on an explicit edge list
@@ -172,36 +284,6 @@ pub fn locally_heaviest_matching(matching: &mut Matching, mut edges: Vec<RatedEd
             break;
         }
     }
-}
-
-/// For every node, the rating of the edge it is matched along (or -inf).
-fn compute_matched_ratings(graph: &CsrGraph, matching: &Matching, rating: EdgeRating) -> Vec<f64> {
-    let mut out = vec![f64::NEG_INFINITY; graph.num_nodes()];
-    let need_degrees = rating == EdgeRating::InnerOuter;
-    let degrees: Vec<u64> = if need_degrees {
-        graph.nodes().map(|v| graph.weighted_degree(v)).collect()
-    } else {
-        Vec::new()
-    };
-    for (u, v) in matching.edges() {
-        let w = graph.edge_weight_between(u, v).unwrap_or(0);
-        let (ou, ov) = if need_degrees {
-            (degrees[u as usize], degrees[v as usize])
-        } else {
-            (0, 0)
-        };
-        let r = crate::rating::rate_edge(
-            rating,
-            w,
-            graph.node_weight(u),
-            graph.node_weight(v),
-            ou,
-            ov,
-        );
-        out[u as usize] = r;
-        out[v as usize] = r;
-    }
-    out
 }
 
 /// Fisher–Yates shuffle with a small deterministic xorshift generator (cheap,
@@ -344,19 +426,16 @@ mod tests {
             RatedEdge {
                 u: 0,
                 v: 1,
-                weight: 3,
                 rating: 3.0,
             },
             RatedEdge {
                 u: 1,
                 v: 2,
-                weight: 2,
                 rating: 2.0,
             },
             RatedEdge {
                 u: 2,
                 v: 3,
-                weight: 1,
                 rating: 1.0,
             },
         ];

@@ -58,15 +58,14 @@ impl EdgeRating {
 }
 
 /// An undirected edge together with its rating, as consumed by the matching
-/// algorithms.
+/// algorithms. The matchers read only the endpoints and the rating, so the
+/// record is 16 bytes: sorting and scanning edge lists is memory-bound.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RatedEdge {
     /// Smaller endpoint.
     pub u: NodeId,
     /// Larger endpoint.
     pub v: NodeId,
-    /// Original edge weight `ω`.
-    pub weight: EdgeWeight,
     /// The rating value used for prioritisation.
     pub rating: f64,
 }
@@ -128,7 +127,6 @@ pub fn rated_edges<G: GraphAccess>(graph: &G, rating: EdgeRating) -> Vec<RatedEd
                 edges.push(RatedEdge {
                     u,
                     v,
-                    weight: w,
                     rating: rate_edge(rating, w, cu, graph.node_weight(v), ou, ov),
                 });
             }
